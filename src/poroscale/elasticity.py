@@ -16,8 +16,6 @@ vector ``e_m = (e11, e22, sqrt(2) e12)`` (tensorial shear, e12 = (du1/dx2 +
 du2/dx1)/2), and assembly uses the same weighting throughout.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
@@ -70,28 +68,6 @@ def isotropic_stiffness(E, eta, d):
     for i in range(d, m):
         C[..., i, i] = 2.0 * mu
     return C
-
-
-@dataclass(frozen=True)
-class IsotropicElasticity:
-    """Homogeneous isotropic material with derived Lamé parameters."""
-
-    E: float
-    eta: float
-
-    def __post_init__(self):
-        lame_parameters(self.E, self.eta)
-
-    @property
-    def mu(self):
-        return lame_parameters(self.E, self.eta)[0]
-
-    @property
-    def lam(self):
-        return lame_parameters(self.E, self.eta)[1]
-
-    def stiffness(self, d):
-        return isotropic_stiffness(self.E, self.eta, d)
 
 
 def unit_strain_tensor(pair, d):

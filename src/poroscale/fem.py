@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import cg, splu
+from scipy.sparse.linalg import splu
 
 from .elasticity import SQRT2, n_strain_components, strain_component_pairs
 from .errors import NumericError, ParameterError
@@ -315,25 +315,21 @@ def constrain_system(matrix, dofs, values):
     if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
         raise ParameterError("constrained dof index out of range")
 
-    seen = {}
-    conflicts = 0
-    for dof, val in zip(dofs.tolist(), values.tolist()):
-        if dof in seen and seen[dof] != val:
-            conflicts += 1
-        seen[dof] = val
+    # a stable sort keeps the listing order among repeats of one dof
+    order = np.argsort(dofs, kind="stable")
+    dofs, values = dofs[order], values[order]
+    repeat = dofs[1:] == dofs[:-1]
+    conflicts = int(np.count_nonzero(repeat & (values[1:] != values[:-1])))
     if conflicts:
         logger.warning(
             "%d conflicting boundary values; keeping the last one given", conflicts
         )
-    dofs = np.fromiter(seen.keys(), dtype=np.int64, count=len(seen))
-    values = np.fromiter(seen.values(), dtype=float, count=len(seen))
-
-    system = DirichletSystem(matrix, dofs)
-    order = np.argsort(dofs)
-    ordered_values = values[order]
+    last = np.append(~repeat, True)
+    system = DirichletSystem(matrix, dofs[last])
+    values = values[last]
 
     def fold_rhs(b):
-        return system.fold_rhs(b, ordered_values)
+        return system.fold_rhs(b, values)
 
     return system.matrix, fold_rhs
 
@@ -352,65 +348,37 @@ def _residuals(matrix, x, b):
     return np.linalg.norm(res, axis=0) / scale
 
 
-def linear_solve(matrix, rhs, spd=False, tol=1e-8):
-    """Solve a sparse linear system to relative residual ``tol``.
-
-    ``rhs`` may hold several right-hand sides as columns. With ``spd=True``
-    a diagonally preconditioned conjugate gradient is tried first and the
-    solve falls back to sparse LU if it stalls; otherwise LU is used
-    directly. Raises :class:`NumericError` carrying the achieved residual
-    when the contract cannot be met.
-    """
-    matrix = matrix.tocsr()
-    rhs = np.asarray(rhs, dtype=float)
-    single = rhs.ndim == 1
-    B = rhs[:, None] if single else rhs
-    X = np.empty_like(B)
-
-    done = False
-    if spd:
-        diag = matrix.diagonal()
-        if np.all(diag > 0.0):
-            precond = sparse.diags(1.0 / diag)
-            done = True
-            for j in range(B.shape[1]):
-                x, info = cg(matrix, B[:, j], rtol=tol * 1e-2, atol=0.0,
-                             maxiter=10 * matrix.shape[0], M=precond)
-                if info != 0:
-                    done = False
-                    break
-                X[:, j] = x
-            if done and np.any(_residuals(matrix, X, B) > tol):
-                done = False
-        if not done:
-            logger.debug("cg path did not meet tolerance, falling back to lu")
-
-    if not done:
-        try:
-            lu = splu(matrix.tocsc())
-        except RuntimeError as exc:
-            raise NumericError(f"sparse factorization failed: {exc}") from exc
-        X = lu.solve(B)
-
-    worst = float(_residuals(matrix, X, B).max())
-    if worst > tol:
-        raise NumericError(
-            f"linear solve residual {worst:.3e} exceeds tolerance {tol:.1e}",
-            residual=worst,
-        )
-    return X[:, 0] if single else X
-
-
 class LUSolver:
-    """Reusable sparse LU factorization with a residual check on each solve."""
+    """Reusable sparse LU factorization with a residual check on each solve.
 
-    def __init__(self, matrix, tol=1e-8):
+    ``spd=True`` factors in SuperLU's symmetric mode: a minimum-degree
+    ordering of A^T + A and diagonal pivots, which is stable only for
+    symmetric positive definite matrices.
+    """
+
+    def __init__(self, matrix, tol=1e-8, spd=False):
         self.matrix = matrix.tocsc()
         self.tol = tol
+        options = {}
+        if spd:
+            options = dict(
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
         try:
-            self._lu = splu(self.matrix)
+            self._lu = splu(self.matrix, **options)
         except RuntimeError as exc:
             raise NumericError(f"sparse factorization failed: {exc}") from exc
+
+    @property
+    def fill(self):
+        """Stored nonzeros of L and U, as SuperLU counts them.
+
+        Read without copying the factors; dense supernode blocks count in
+        full, so this can exceed nnz(L) + nnz(U) of the extracted factors.
+        """
+        return int(self._lu.nnz)
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)

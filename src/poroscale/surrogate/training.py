@@ -154,7 +154,7 @@ def predict_effective(network, x_scaled, scaler, target, dim):
     x_scaled = np.asarray(x_scaled, dtype=float)
     rows = scaler.unscale_output(network.forward(x_scaled[:, None, ...]))
     size = dim if target == TARGET_PERMEABILITY else n_strain_components(dim)
-    mats = np.stack([from_upper_triangle(row, size) for row in rows])
+    mats = from_upper_triangle(rows, size)
     fixed, n_clamped = clamp_spd(mats)
     if n_clamped:
         logger.warning(

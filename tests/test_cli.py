@@ -1,6 +1,7 @@
 """Configuration files, presets, and the stage-per-subcommand interface."""
 
 import dataclasses
+import json
 from importlib import resources
 
 import numpy as np
@@ -225,7 +226,11 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
     summary = layout.summary_txt.read_text(encoding="utf-8")
     assert "speedup" in summary
     assert "x76 to x289" in summary
-    assert layout.timing_path("homogenize").exists()
+    homogenize = json.loads(layout.timing_path("homogenize").read_text("utf-8"))
+    assert homogenize["engine_setup_s"] > 0.0
+    assert set(homogenize["lu_fill"]) == {"permeability", "elasticity"}
+    assert min(homogenize["lu_fill"].values()) > 0
+    assert layout.timing_path("build-dataset").exists()
 
 
 def test_stage_summary_is_json(capsys, tmp_path):

@@ -6,13 +6,7 @@ from scipy import sparse
 
 from poroscale.elasticity import isotropic_stiffness, n_strain_components
 from poroscale.errors import NumericError, ParameterError
-from poroscale.fem import (
-    DirichletSystem,
-    LUSolver,
-    P1Space,
-    constrain_system,
-    linear_solve,
-)
+from poroscale.fem import DirichletSystem, LUSolver, P1Space, constrain_system
 from poroscale.grid import StructuredGrid
 
 
@@ -170,7 +164,7 @@ def laplace_error(n):
     A = space.assemble_diffusion(1.0)
     M = space.assemble_mass(1.0)
     reduced, fold = constrain_system(A, grid.all_boundary_nodes(), 0.0)
-    u = linear_solve(reduced, fold(M @ f), spd=True)
+    u = LUSolver(reduced).solve(fold(M @ f))
     err = u - exact
     return float(np.sqrt(err @ (M @ err)))
 
@@ -182,29 +176,11 @@ def test_laplace_second_order_convergence():
         assert 1.8 <= rate <= 2.2
 
 
-def test_linear_solve_diagonal_anchor():
-    A = sparse.csr_matrix(np.diag([2.0, 4.0]))
-    x = linear_solve(A, np.array([2.0, 4.0]), spd=True)
-    assert np.allclose(x, [1.0, 1.0], atol=1e-12)
-
-
-def test_linear_solve_multiple_rhs_and_paths_agree():
-    rng = np.random.default_rng(37)
-    n = 40
-    Q = rng.normal(size=(n, n))
-    A = sparse.csr_matrix(Q @ Q.T + n * np.eye(n))
-    B = rng.normal(size=(n, 3))
-    X_cg = linear_solve(A, B, spd=True)
-    X_lu = linear_solve(A, B, spd=False)
-    assert np.allclose(X_cg, X_lu, atol=1e-6)
-    res = A @ X_lu - B
-    assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(B)
-
-
-def test_linear_solve_reports_failure():
+def test_lusolver_singular_matrix_raises():
     A = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(NumericError):
-        linear_solve(A, np.array([1.0, 0.0]))
+    for spd in (False, True):
+        with pytest.raises(NumericError):
+            LUSolver(A, spd=spd).solve(np.array([1.0, 0.0]))
 
 
 def test_lusolver_reuse():
@@ -212,11 +188,12 @@ def test_lusolver_reuse():
     n = 30
     Q = rng.normal(size=(n, n))
     A = sparse.csr_matrix(Q @ Q.T + n * np.eye(n))
-    solver = LUSolver(A)
-    for _ in range(4):
-        b = rng.normal(size=n)
-        x = solver.solve(b)
-        assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
+    for spd in (False, True):
+        solver = LUSolver(A, spd=spd)
+        for _ in range(4):
+            b = rng.normal(size=n)
+            x = solver.solve(b)
+            assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
 def test_dirichlet_elimination_exactness():
@@ -228,7 +205,7 @@ def test_dirichlet_elimination_exactness():
     exact = 2.0 * x - 0.5 * y + 0.25  # harmonic, so zero interior residual
     bnodes = grid.all_boundary_nodes()
     reduced, fold = constrain_system(A, bnodes, exact[bnodes])
-    u = linear_solve(reduced, fold(np.zeros(grid.n_nodes)), spd=True)
+    u = LUSolver(reduced).solve(fold(np.zeros(grid.n_nodes)))
     assert np.allclose(u, exact, atol=1e-9)
 
 
@@ -251,8 +228,14 @@ def test_conflicting_constraints_last_wins(caplog):
     with caplog.at_level("WARNING"):
         reduced, fold = constrain_system(A, [0, 0], [1.0, 5.0])
     assert "conflicting" in caplog.text
-    x = linear_solve(reduced, fold(np.zeros(3)))
+    x = LUSolver(reduced).solve(fold(np.zeros(3)))
     assert x[0] == pytest.approx(5.0)
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        reduced, fold = constrain_system(A, [2, 0, 2, 0, 2], [1.0, 3.0, 4.0, 3.0, 6.0])
+    assert "2 conflicting" in caplog.text
+    x = LUSolver(reduced).solve(fold(np.zeros(3)))
+    assert x[[0, 2]] == pytest.approx([3.0, 6.0])
 
 
 def test_constraint_index_validation():

@@ -3,12 +3,20 @@
 import numpy as np
 import pytest
 
-from poroscale.elasticity import isotropic_stiffness, n_strain_components
+from poroscale.elasticity import (
+    isotropic_stiffness,
+    mandel_weights,
+    n_strain_components,
+    strain_component_pairs,
+    unit_strain_tensor,
+)
 from poroscale.errors import ParameterError
-from poroscale.fem import P1Space
+from poroscale.fem import LUSolver, P1Space, constrain_system
 from poroscale.grid import StructuredGrid
 from poroscale.homogenize import (
+    SOLVE_TOL,
     EffectiveTensors,
+    PatchEngine,
     effective_elasticity,
     effective_permeability,
     extract_patches,
@@ -192,6 +200,25 @@ def test_homogenize_domain_thread_invariance():
     assert np.array_equal(serial.stiffness, pooled.stiffness)
 
 
+def test_homogenize_domain_reuses_engine():
+    fine = StructuredGrid((8, 8))
+    rng = np.random.default_rng(35)
+    fields = PropertyFields(
+        perm=np.exp(rng.normal(size=fine.n_nodes)),
+        young=rng.uniform(5.0, 15.0, size=fine.n_nodes),
+        eta=0.3,
+    )
+    engine = PatchEngine(StructuredGrid((4, 4)))
+    fresh = homogenize_domain(fine, (2, 2), fields)
+    shared = homogenize_domain(fine, (2, 2), fields, engine=engine)
+    assert np.array_equal(fresh.perm, shared.perm)
+    assert np.array_equal(fresh.stiffness, shared.stiffness)
+    assert engine.diffusion.factor_fill > 0
+    assert engine.elasticity(0.3).factor_fill > 0
+    with pytest.raises(ParameterError):
+        homogenize_domain(fine, (4, 4), fields, engine=engine)
+
+
 def test_homogenized_constant_field_all_cells_equal():
     fine = StructuredGrid((12, 12))
     fields = PropertyFields(
@@ -205,3 +232,82 @@ def test_homogenized_constant_field_all_cells_equal():
         assert np.allclose(
             eff.stiffness[i], isotropic_stiffness(1.0, 0.25, 2), atol=1e-8
         )
+
+
+def reference_permeability(space, k, where):
+    """Flux-averaged k* from full assembly and row/column elimination."""
+    grid = space.grid
+    A = space.assemble_diffusion(k, where=where)
+    bnodes = grid.all_boundary_nodes()
+    psi = np.empty((grid.n_nodes, grid.dimension))
+    for j in range(grid.dimension):
+        reduced, fold = constrain_system(A, bnodes, grid.node_coords[bnodes, j])
+        psi[:, j] = LUSolver(reduced, SOLVE_TOL).solve(fold(np.zeros(grid.n_nodes)))
+    grads = space.class_gradients[grid.element_class]
+    gpsi = np.einsum("eia,eil->eal", grads, psi[grid.elements])
+    k_e = space.element_values(k, where=where)
+    raw = np.einsum("e,ejl->lj", k_e, gpsi) / grid.elements.shape[0]
+    return 0.5 * (raw + raw.T)
+
+
+def reference_elasticity(space, young, eta, where):
+    """Energy Gram matrix C* from full assembly and row/column elimination."""
+    grid = space.grid
+    d = grid.dimension
+    C_e = isotropic_stiffness(space.element_values(young, where=where), eta, d)
+    A = space.assemble_elasticity(C_e)
+    bnodes = grid.all_boundary_nodes()
+    vdofs = (bnodes[:, None] * d + np.arange(d)).reshape(-1)
+    pairs = strain_component_pairs(d)
+    phi = np.empty((grid.n_nodes * d, len(pairs)))
+    for I, pair in enumerate(pairs):
+        values = (grid.node_coords[bnodes] @ unit_strain_tensor(pair, d).T).ravel()
+        reduced, fold = constrain_system(A, vdofs, values)
+        phi[:, I] = LUSolver(reduced, SOLVE_TOL).solve(fold(np.zeros(A.shape[0])))
+    w = mandel_weights(d)
+    raw = np.outer(w, w) * (phi.T @ (A @ phi))  # the unit cube has volume 1
+    return 0.5 * (raw + raw.T)
+
+
+@pytest.mark.parametrize("where", ["node", "element"])
+@pytest.mark.parametrize("kind", ["lognormal", "affine"])
+@pytest.mark.parametrize("cells", [(8, 8), (4, 4, 4)])
+def test_engine_matches_full_assembly_reference(cells, kind, where):
+    grid = StructuredGrid(cells)
+    space = P1Space(grid)
+    rng = np.random.default_rng(47)
+    n = grid.n_nodes if where == "node" else grid.elements.shape[0]
+    z = rng.normal(size=n)
+    coeff = np.exp(1.4 * z) if kind == "lognormal" else 10.0 + 2.0 * np.clip(z, -4, 4)
+    engine = PatchEngine(grid)
+    for got, ref in (
+        (
+            effective_permeability(engine, coeff, where=where),
+            reference_permeability(space, coeff, where),
+        ),
+        (
+            effective_elasticity(engine, coeff, 0.3, where=where),
+            reference_elasticity(space, coeff, 0.3, where),
+        ),
+    ):
+        assert np.abs(got - ref).max() <= 10.0 * SOLVE_TOL * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("cells", [(6, 6), (3, 3, 3)])
+def test_engine_reuse_is_bit_identical(cells):
+    grid = StructuredGrid(cells)
+    rng = np.random.default_rng(53)
+    perms = np.exp(rng.normal(size=(4, grid.n_nodes)))
+    youngs = rng.uniform(5.0, 15.0, size=(4, grid.n_nodes))
+
+    def tensors(engine, i):
+        return (
+            effective_permeability(engine, perms[i]),
+            effective_elasticity(engine, youngs[i], 0.3),
+        )
+
+    shared = PatchEngine(grid)
+    for i in range(3):
+        tensors(shared, i)
+    for after, alone in zip(tensors(shared, 3), tensors(PatchEngine(grid), 3)):
+        assert np.array_equal(after, alone)
