@@ -319,7 +319,10 @@ def evaluate_stage(config, layout):
     """Per-split metrics of the trained networks, written as CSV."""
     layout.dir("metrics")
     summary = {}
+    times = {}
+    t_start = time.perf_counter()
     for target in TARGETS:
+        t0 = time.perf_counter()
         _require(layout.dataset_path(target), "build-dataset")
         _require(layout.model_path(target), "train")
         ds = load_dataset(layout.dataset_path(target))
@@ -339,16 +342,24 @@ def evaluate_stage(config, layout):
                         "test_mae_pct": metrics.mae_pct,
                         "test_rmse_pct": metrics.rmse_pct,
                     }
+        times[target] = time.perf_counter() - t0
+    total = time.perf_counter() - t_start
+    _write_timing(layout, "evaluate", {"total_s": total, "per_target_s": times})
     return summary
 
 
-def _predict_one(config, grid, networks, scalers, fields):
-    """Surrogate tensors for all cells of one realization."""
-    _, patches = extract_patches(grid, config.coarse_cells, fields)
+def predict_tensors(networks, scalers, grid, coarse_cells, fields):
+    """Surrogate effective tensors for every coarse cell of one realization.
+
+    ``networks`` and ``scalers`` map each target to its trained network and
+    the scaler of its training data. Returns target -> (n_cells, m, m)
+    SPD tensors, cells in row-major order.
+    """
+    _, patches = extract_patches(grid, coarse_cells, fields)
     d = grid.dimension
-    n_l = patch_ratio(grid, config.coarse_cells)
+    n_l = patch_ratio(grid, coarse_cells)
     outputs = {}
-    for target in TARGETS:
+    for target, network in networks.items():
         raw = np.stack(
             [
                 patch_input_array(
@@ -359,7 +370,7 @@ def _predict_one(config, grid, networks, scalers, fields):
         )
         scaled = scalers[target].scale_input(raw)
         outputs[target] = predict_effective(
-            networks[target], scaled, scalers[target], target, d
+            network, scaled, scalers[target], target, d
         )
     return outputs
 
@@ -381,7 +392,7 @@ def predict_stage(config, layout):
     for index in held_out_indices(config):
         fields = load_fields(layout, config, index)
         t0 = time.perf_counter()
-        outputs = _predict_one(config, grid, networks, scalers, fields)
+        outputs = predict_tensors(networks, scalers, grid, config.coarse_cells, fields)
         per_realization[str(index)] = time.perf_counter() - t0
         write_array(
             layout.tensor_path(index, "perm", PREDICTED),
@@ -491,6 +502,7 @@ def _speedup_block(layout):
 
 def report_stage(config, layout):
     """Aggregate error norms and timings into errors.csv and summary.txt."""
+    t_start = time.perf_counter()
     fine_grid = StructuredGrid(config.fine_cells)
     coarse_grid = StructuredGrid(config.coarse_cells)
     layout.dir("report")
@@ -554,6 +566,7 @@ def report_stage(config, layout):
     lines.extend("  " + line for line in timing_lines)
     with open(layout.summary_txt, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+    _write_timing(layout, "report", {"total_s": time.perf_counter() - t_start})
     return {
         "rows": len(rows),
         "sources": sources,

@@ -6,7 +6,20 @@ and ``grads`` lists (same order, same shapes). Arrays are float64
 throughout, activations are ``(batch, channels, *spatial)``.
 
 Backward calls consume the cache left by the most recent forward call.
+Trainable layers take ``backward(grad_out, input_grad=True)``: with
+``input_grad=False`` they fill ``grads`` and return ``None`` without
+computing the input gradient, which a network's first layer never needs
+when its input is data.
+
+``Conv`` keeps the column matrix of its forward pass, ``(batch * spatial,
+in_ch * k^d)`` float64 values, until the next forward call, because the
+weight gradient reuses it. On 12^3 patches the two Conv layers of the 3D
+network hold 27 * 12^3 * 8 B = 0.37 MB and 432 * 6^3 * 8 B = 0.75 MB per
+sample, so every forward pass, inference included, runs on a bounded
+batch (``Network.predict``).
 """
+
+from math import prod
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,39 +56,48 @@ class Conv:
         self.bias = np.zeros(out_channels)
         self.params = [self.weight, self.bias]
         self.grads = [np.zeros_like(self.weight), np.zeros_like(self.bias)]
-        self._windows = None
+        self._cols = None
 
-    def _pad(self, x):
-        p = self.kernel // 2
-        width = [(0, 0), (0, 0)] + [(p, p)] * self.dim
-        return np.pad(x, width)
-
-    def _correlate(self, x, kernels):
-        # windows: (batch, ch, *spatial, *kernel); contract ch + kernel axes
-        spatial_axes = tuple(range(2, 2 + self.dim))
-        win = sliding_window_view(self._pad(x), (self.kernel,) * self.dim, spatial_axes)
-        win_axes = (1,) + tuple(range(2 + self.dim, 2 + 2 * self.dim))
-        ker_axes = tuple(range(1, 2 + self.dim))
-        out = np.tensordot(win, kernels, axes=(win_axes, ker_axes))
-        # (batch, *spatial, out_ch) -> (batch, out_ch, *spatial)
-        return np.moveaxis(out, -1, 1), win
+    def _columns(self, x):
+        """(batch * spatial, in_ch * k^d) windows of the zero-padded input."""
+        d, p = self.dim, self.kernel // 2
+        padded = np.pad(x, [(0, 0), (0, 0)] + [(p, p)] * d)
+        spatial_axes = tuple(range(2, 2 + d))
+        win = sliding_window_view(padded, (self.kernel,) * d, spatial_axes)
+        # (batch, ch, *spatial, *kernel) -> (batch, *spatial, ch, *kernel)
+        order = (0,) + spatial_axes + (1,) + tuple(range(2 + d, 2 + 2 * d))
+        return win.transpose(order).reshape(x.shape[0] * prod(x.shape[2:]), -1)
 
     def forward(self, x, train=False, rng=None):
-        out, self._windows = self._correlate(x, self.weight)
-        return out + self.bias.reshape((1, -1) + (1,) * self.dim)
+        self._cols = self._columns(x)
+        kernels = self.weight.reshape(self.weight.shape[0], -1)
+        out = (self._cols @ kernels.T).reshape(x.shape[:1] + x.shape[2:] + (-1,))
+        # (batch, *spatial, out_ch) -> (batch, out_ch, *spatial)
+        return np.moveaxis(out, -1, 1) + self.bias.reshape((1, -1) + (1,) * self.dim)
 
-    def backward(self, grad_out):
-        batch_spatial = (0,) + tuple(range(2, 2 + self.dim))
-        self.grads[1][...] = grad_out.sum(axis=batch_spatial)
+    def backward(self, grad_out, input_grad=True):
+        d, k = self.dim, self.kernel
+        out_ch, in_ch = self.weight.shape[:2]
+        self.grads[1][...] = grad_out.sum(axis=(0,) + tuple(range(2, 2 + d)))
+        # (out_ch, batch * spatial), columns in the column matrix's row order
+        g = np.moveaxis(grad_out, 1, 0).reshape(out_ch, -1)
         # dW[o, c, u] = sum_{b, s} grad[b, o, s] * x_pad[b, c, s + u]
-        self.grads[0][...] = np.tensordot(
-            grad_out, self._windows, axes=(batch_spatial, batch_spatial)
+        self.grads[0][...] = (g @ self._cols).reshape(self.weight.shape)
+        if not input_grad:
+            return None
+        # column gradient (in_ch, *kernel, batch, *spatial); window offset u
+        # of every column adds back onto the padded input at s + u (col2im)
+        batch, spatial = grad_out.shape[0], grad_out.shape[2:]
+        col_grad = (self.weight.reshape(out_ch, -1).T @ g).reshape(
+            (in_ch,) + (k,) * d + (batch,) + spatial
         )
-        # grad wrt input: full correlation with the flipped kernel,
-        # channels swapped to (in_ch, out_ch, *kernel)
-        flipped = np.flip(self.weight, axis=tuple(range(2, 2 + self.dim)))
-        grad_in, _ = self._correlate(grad_out, np.swapaxes(flipped, 0, 1))
-        return grad_in
+        padded = np.zeros((in_ch, batch) + tuple(n + k - 1 for n in spatial))
+        for u in np.ndindex(*(k,) * d):
+            window = tuple(slice(o, o + n) for o, n in zip(u, spatial))
+            padded[(slice(None), slice(None)) + window] += col_grad[(slice(None),) + u]
+        p = k // 2
+        inner = tuple(slice(p, p + n) for n in spatial)
+        return np.swapaxes(padded[(slice(None), slice(None)) + inner], 0, 1)
 
     def __repr__(self):
         out_ch, in_ch = self.weight.shape[:2]
@@ -191,10 +213,10 @@ class Dense:
         self._x = x
         return x @ self.weight + self.bias
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         self.grads[0][...] = self._x.T @ grad_out
         self.grads[1][...] = grad_out.sum(axis=0)
-        return grad_out @ self.weight.T
+        return grad_out @ self.weight.T if input_grad else None
 
     def __repr__(self):
         return f"Dense({self.weight.shape[0]}->{self.weight.shape[1]})"

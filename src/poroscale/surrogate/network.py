@@ -30,6 +30,8 @@ HIDDEN_WIDTH = 512
 FILTERS_2D = (8, 16, 32, 64)
 FILTERS_3D = (16, 32)
 DEFAULT_DROPOUT = 0.1
+# samples per forward pass of Network.predict
+INFERENCE_CHUNK = 64
 
 _KIND_CONV = 0
 _KIND_RELU = 1
@@ -59,11 +61,36 @@ class Network:
             out = layer.forward(out, train=train, rng=rng)
         return out
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
+        """Fill every layer's ``grads``; return the input gradient.
+
+        With ``input_grad=False`` the first layer computes only its own
+        parameter gradients and ``None`` is returned: training never needs
+        the gradient with respect to the data.
+        """
         grad = grad_out
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        first = self.layers[0]
+        if input_grad:
+            return first.backward(grad)
+        if first.params:
+            first.backward(grad, input_grad=False)
+        return None
+
+    def predict(self, x):
+        """Inference forward pass in chunks of ``INFERENCE_CHUNK`` samples.
+
+        Activations and the column matrices the Conv layers keep stay
+        bounded by the chunk, whatever the number of samples. Rows equal
+        those of one pass over ``x`` up to round-off: BLAS may sum a
+        matrix product in another order when the row count changes.
+        """
+        x = np.asarray(x, dtype=float)
+        chunk = INFERENCE_CHUNK
+        return np.concatenate(
+            [self.forward(x[s : s + chunk]) for s in range(0, len(x), chunk)]
+        )
 
     def n_parameters(self):
         return sum(p.size for p in self.params)

@@ -72,11 +72,11 @@ def train(network, train_set, val_set, config=TrainConfig()):
                     f"loss is not finite at epoch {epoch}, "
                     f"batch offset {start} (batch size {idx.size})"
                 )
-            network.backward(2.0 * diff / diff.size)
+            network.backward(2.0 * diff / diff.size, input_grad=False)
             adam.step()
             squared_sum += float(np.sum(diff**2))
         train_mse = squared_sum / y_train.size
-        val_diff = network.forward(x_val) - y_val
+        val_diff = network.predict(x_val) - y_val
         history.append((epoch, train_mse, float(np.mean(val_diff**2))))
     return history
 
@@ -122,7 +122,7 @@ def compute_metrics(predicted, reference):
 
 def evaluate(network, dataset):
     """Metrics of the network on a dataset, in de-scaled output units."""
-    scaled = network.forward(_batched_input(dataset))
+    scaled = network.predict(_batched_input(dataset))
     predicted = dataset.scaler.unscale_output(scaled)
     reference = dataset.scaler.unscale_output(dataset.Y)
     return compute_metrics(predicted, reference)
@@ -152,7 +152,7 @@ def predict_effective(network, x_scaled, scaler, target, dim):
     eigenvalue-clamped when a prediction drifts out of the SPD cone.
     """
     x_scaled = np.asarray(x_scaled, dtype=float)
-    rows = scaler.unscale_output(network.forward(x_scaled[:, None, ...]))
+    rows = scaler.unscale_output(network.predict(x_scaled[:, None, ...]))
     size = dim if target == TARGET_PERMEABILITY else n_strain_components(dim)
     mats = from_upper_triangle(rows, size)
     fixed, n_clamped = clamp_spd(mats)

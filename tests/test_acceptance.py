@@ -2,7 +2,9 @@
 
 The desk-scale fixtures run the real pipeline stages into session
 temporary directories, so every number below is produced by the same
-code paths the command line drives.
+code paths the command line drives. The whole module carries the
+``slow`` marker: ``python -m pytest -m "not slow"`` runs the rest of the
+suite in under a minute.
 """
 
 import dataclasses
@@ -17,7 +19,6 @@ from poroscale.dataset import (
     TARGET_ELASTICITY,
     TARGET_PERMEABILITY,
     load_dataset,
-    patch_input_array,
     split,
 )
 from poroscale.elasticity import isotropic_stiffness
@@ -26,9 +27,7 @@ from poroscale.grid import StructuredGrid
 from poroscale.homogenize import (
     effective_elasticity,
     effective_permeability,
-    extract_patches,
     homogenize_domain,
-    patch_ratio,
 )
 from poroscale.arrayio import read_array
 from poroscale.pipeline import (
@@ -40,6 +39,7 @@ from poroscale.pipeline import (
     generate_fields_stage,
     homogenize_stage,
     predict_stage,
+    predict_tensors,
     report_stage,
     solve_coarse_stage,
     solve_fine_stage,
@@ -52,12 +52,9 @@ from poroscale.random_field import (
     field_to_properties,
     sample_field,
 )
-from poroscale.surrogate import (
-    build_network,
-    compute_metrics,
-    load_network,
-    predict_effective,
-)
+from poroscale.surrogate import build_network, compute_metrics, load_network
+
+pytestmark = pytest.mark.slow
 
 TARGETS = (TARGET_PERMEABILITY, TARGET_ELASTICITY)
 
@@ -308,28 +305,6 @@ def test_criterion_08_speedup(criterion, desk_run_trained):
     networks = {t: load_network(layout.model_path(t)) for t in TARGETS}
     scalers = {t: load_dataset(layout.dataset_path(t)).scaler for t in TARGETS}
 
-    def online_once(grid, coarse_cells, fields):
-        n_l = patch_ratio(grid, coarse_cells)
-        _, patches = extract_patches(grid, coarse_cells, fields)
-        for target in TARGETS:
-            raw = np.stack(
-                [
-                    patch_input_array(
-                        p.perm if target == TARGET_PERMEABILITY else p.young,
-                        2,
-                        n_l,
-                    )
-                    for p in patches
-                ]
-            )
-            predict_effective(
-                networks[target],
-                scalers[target].scale_input(raw),
-                scalers[target],
-                target,
-                2,
-            )
-
     def best_of_3(route):
         # one warm-up call, then the fastest of three timed calls
         route()
@@ -350,7 +325,9 @@ def test_criterion_08_speedup(criterion, desk_run_trained):
         direct_s = best_of_3(
             lambda: homogenize_domain(grid, coarse_cells, fields, threads=1)
         )
-        online_s = best_of_3(lambda: online_once(grid, coarse_cells, fields))
+        online_s = best_of_3(
+            lambda: predict_tensors(networks, scalers, grid, coarse_cells, fields)
+        )
         speedups.append(direct_s / online_s)
     ok = criterion(
         8,

@@ -231,6 +231,11 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
     assert set(homogenize["lu_fill"]) == {"permeability", "elasticity"}
     assert min(homogenize["lu_fill"].values()) > 0
     assert layout.timing_path("build-dataset").exists()
+    evaluate = json.loads(layout.timing_path("evaluate").read_text("utf-8"))
+    assert set(evaluate["per_target_s"]) == {"permeability", "elasticity"}
+    assert evaluate["total_s"] >= sum(evaluate["per_target_s"].values()) > 0.0
+    report = json.loads(layout.timing_path("report").read_text("utf-8"))
+    assert report["stage"] == "report" and report["total_s"] > 0.0
 
 
 def test_stage_summary_is_json(capsys, tmp_path):

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from poroscale.dataset import TARGET_PERMEABILITY, Dataset, Scaler
 from poroscale.errors import FormatError, NumericError, ParameterError
@@ -32,6 +33,7 @@ from poroscale.surrogate.network import (
     FILTERS_2D,
     FILTERS_3D,
     HIDDEN_WIDTH,
+    INFERENCE_CHUNK,
     MAGIC,
     VERSION,
     pooled_extent,
@@ -53,6 +55,37 @@ def naive_conv(x, weight, bias):
                 win = pad[(b, slice(None)) + tuple(slice(i, i + k) for i in pos)]
                 out[(b, o) + pos] = np.sum(win * weight[o]) + bias[o]
     return out
+
+
+def tensordot_correlate(x, kernels):
+    """Zero-padded correlation by tensordot over the window view."""
+    d = x.ndim - 2
+    k = kernels.shape[-1]
+    p = k // 2
+    padded = np.pad(x, [(0, 0), (0, 0)] + [(p, p)] * d)
+    spatial_axes = tuple(range(2, 2 + d))
+    win = sliding_window_view(padded, (k,) * d, spatial_axes)
+    win_axes = (1,) + tuple(range(2 + d, 2 + 2 * d))
+    out = np.tensordot(win, kernels, axes=(win_axes, tuple(range(1, 2 + d))))
+    return np.moveaxis(out, -1, 1), win
+
+
+def tensordot_conv(x, weight, bias, grad_out):
+    """Reference Conv by tensordot: output, dW, db and input gradient.
+
+    The weight gradient contracts the input windows with the output
+    gradient; the input gradient correlates the output gradient with the
+    flipped, channel-swapped kernel.
+    """
+    d = x.ndim - 2
+    out, win = tensordot_correlate(x, weight)
+    out = out + bias.reshape((1, -1) + (1,) * d)
+    batch_spatial = (0,) + tuple(range(2, 2 + d))
+    d_weight = np.tensordot(grad_out, win, axes=(batch_spatial, batch_spatial))
+    d_bias = grad_out.sum(axis=batch_spatial)
+    flipped = np.flip(weight, axis=tuple(range(2, 2 + d)))
+    grad_in, _ = tensordot_correlate(grad_out, np.swapaxes(flipped, 0, 1))
+    return out, d_weight, d_bias, grad_in
 
 
 def naive_pool(x):
@@ -109,6 +142,59 @@ def test_conv_matches_naive(dim, spatial):
     got = layer.forward(x)
     assert got.shape == (2, 3) + spatial
     np.testing.assert_allclose(got, naive_conv(x, layer.weight, layer.bias), atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "dim,in_ch,out_ch,spatial",
+    [
+        (2, 1, 8, (9, 7)),
+        (2, 8, 16, (6, 6)),
+        (3, 1, 16, (5, 4, 6)),
+        (3, 16, 32, (3, 3, 3)),
+    ],
+)
+def test_conv_matches_tensordot_reference(dim, in_ch, out_ch, spatial):
+    rng = np.random.default_rng(35)
+    layer = Conv(dim, in_ch, out_ch, rng=rng)
+    layer.bias[...] = rng.normal(size=out_ch)
+    x = rng.normal(size=(3, in_ch) + spatial)
+    grad_out = rng.normal(size=(3, out_ch) + spatial)
+    out, d_weight, d_bias, grad_in = tensordot_conv(
+        x, layer.weight, layer.bias, grad_out
+    )
+    np.testing.assert_array_equal(layer.forward(x), out)
+    got_in = layer.backward(grad_out)
+    for got, want in zip(layer.grads + [got_in], (d_weight, d_bias, grad_in)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_backward_without_input_gradient():
+    net = build_network(3, 4, 6, dropout=0.0, seed=36)
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(3, 1, 4, 4, 4))
+    g = rng.normal(size=net.forward(x).shape)
+    assert net.backward(g).shape == x.shape
+    full = [grad.copy() for grad in net.grads]
+    for grad in net.grads:
+        grad[...] = np.nan
+    assert net.backward(g, input_grad=False) is None
+    for want, got in zip(full, net.grads):
+        assert want.tobytes() == got.tobytes()
+    # a parameterless first layer has nothing left to compute
+    head = Network([Flatten(), Dense(64, 2, rng=rng)])
+    head.forward(x)
+    assert head.backward(np.ones((3, 2)), input_grad=False) is None
+
+
+def test_predict_chunks_match_one_pass():
+    net = build_network(2, 8, 3, seed=38)
+    # two full chunks and a one-sample tail
+    x = np.random.default_rng(39).random(size=(2 * INFERENCE_CHUNK + 1, 1, 8, 8))
+    one_pass = net.forward(x)
+    chunked = net.predict(x)
+    assert chunked.shape == one_pass.shape
+    assert np.abs(chunked - one_pass).max() <= 1e-12 * np.abs(one_pass).max()
 
 
 def test_conv_identity_kernel():
