@@ -9,26 +9,29 @@ the fine-per-coarse cell ratio.
 Inputs are min-max scaled with one global (dataset-wide) range; each output
 component is min-max scaled separately. Scaling happens before splitting.
 
-File format "NHDS" (little-endian): magic, u32 version, u64 counts
-(L, N_l, d, N_out), scaler block (input min/max, per-component output
-min/max), then per sample u64 realization id, u64 cell id, the X payload
-and the Y payload as float64.
+A dataset is stored as a directory of NHAR array files
+(:mod:`poroscale.arrayio`), whose shapes carry L, d, N_l and N_out:
+
+    inputs.nhar   (L, N_l, ..., N_l)  scaled inputs, d patch axes
+    outputs.nhar  (L, N_out)          scaled outputs
+    ids.nhar      (L, 2)              realization id, cell id
+    scaler.nhar   (2, 1 + N_out)      minima, then maxima: input, outputs
+
+``scaler.nhar`` alone is enough to scale new inputs (:func:`load_scaler`).
 """
 
 import logging
-import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from .arrayio import read_array, write_array
 from .elasticity import n_strain_components, upper_triangle
 from .errors import FormatError, ParameterError
-from .homogenize import extract_patches, patch_ratio
+from .homogenize import patch_ratio
 
 logger = logging.getLogger(__name__)
-
-MAGIC = b"NHDS"
-VERSION = 1
 
 TARGET_PERMEABILITY = "permeability"
 TARGET_ELASTICITY = "elasticity"
@@ -152,10 +155,21 @@ class Dataset:
         )
 
 
-def patch_input_array(patch_values, d, n_l):
-    """Drop the duplicated far-edge node slice: (N_l+1)^d -> N_l^d."""
-    shaped = np.asarray(patch_values, dtype=float).reshape((n_l + 1,) * d)
-    return shaped[(slice(0, n_l),) * d].copy()
+def patch_input_array(fine_grid, coarse_cells, values):
+    """Network inputs of every coarse cell of one nodal field, row-major.
+
+    Drops the field's far-edge node slice, so each cell keeps N_l^d of its
+    (N_l+1)^d nodes, and tiles the rest into (N_c, N_l, ..., N_l) by one
+    reshape and transpose.
+    """
+    d = fine_grid.dimension
+    n_l = patch_ratio(fine_grid, coarse_cells)
+    shaped = np.asarray(values, dtype=float).reshape(fine_grid.node_shape)
+    # (c_1, n_l, c_2, n_l, ...) -> (c_1, c_2, ..., n_l, n_l, ...)
+    split_axes = [n for c in coarse_cells for n in (c, n_l)]
+    cells = shaped[(slice(0, -1),) * d].reshape(split_axes)
+    order = [*range(0, 2 * d, 2), *range(1, 2 * d, 2)]
+    return cells.transpose(order).reshape((-1,) + (n_l,) * d)
 
 
 def build_dataset(fine_grid, coarse_cells, realizations, tensors, target):
@@ -172,25 +186,16 @@ def build_dataset(fine_grid, coarse_cells, realizations, tensors, target):
         raise ParameterError("realization and tensor counts differ")
     d = fine_grid.dimension
     n_l = patch_ratio(fine_grid, coarse_cells)
-    n_out = target_components(target, d)
+    target_components(target, d)  # rejects an unknown target
+    n_cells = int(np.prod(coarse_cells))
+    if any(eff.perm.shape[0] != n_cells for eff in tensors):
+        raise ParameterError(f"every realization needs {n_cells} cell tensors")
 
-    xs, ys, rid, cid = [], [], [], []
-    for l, (fields, eff) in enumerate(zip(realizations, tensors)):
-        _, patches = extract_patches(fine_grid, coarse_cells, fields)
-        if eff.perm.shape[0] != len(patches):
-            raise ParameterError(f"tensor count mismatch in realization {l}")
-        per_cell = eff.perm if target == TARGET_PERMEABILITY else eff.stiffness
-        for i, patch in enumerate(patches):
-            values = (
-                patch.perm if target == TARGET_PERMEABILITY else patch.young
-            )
-            xs.append(patch_input_array(values, d, n_l))
-            ys.append(upper_triangle(per_cell[i]))
-            rid.append(l)
-            cid.append(i)
-
-    X = np.stack(xs)
-    Y = np.stack(ys)
+    permeability = target == TARGET_PERMEABILITY
+    values = [f.perm if permeability else f.young for f in realizations]
+    X = np.concatenate([patch_input_array(fine_grid, coarse_cells, v) for v in values])
+    per_cell = [eff.perm if permeability else eff.stiffness for eff in tensors]
+    Y = upper_triangle(np.concatenate(per_cell))
     scaler = Scaler(
         input_min=float(X.min()),
         input_max=float(X.max()),
@@ -204,14 +209,15 @@ def build_dataset(fine_grid, coarse_cells, realizations, tensors, target):
             "%d output components are degenerate and scale to 0",
             int(np.count_nonzero(scaler.output_degenerate)),
         )
+    n_real = len(realizations)
     return Dataset(
         dimension=d,
         patch_size=n_l,
         target=target,
         X=scaler.scale_input(X),
         Y=scaler.scale_output(Y),
-        realization=np.asarray(rid, dtype=np.int64),
-        cell=np.asarray(cid, dtype=np.int64),
+        realization=np.repeat(np.arange(n_real, dtype=np.int64), n_cells),
+        cell=np.tile(np.arange(n_cells, dtype=np.int64), n_real),
         scaler=scaler,
     )
 
@@ -219,9 +225,14 @@ def build_dataset(fine_grid, coarse_cells, realizations, tensors, target):
 def split(dataset, spec=SplitSpec()):
     """Seeded shuffle, then partition into train/val/test subsets."""
     total = len(dataset)
-    if total == 0:
-        raise ParameterError("cannot split an empty dataset")
-    n_train, n_val, _ = spec.sizes(total)
+    sizes = spec.sizes(total)
+    empty = [name for name, n in zip(("train", "val", "test"), sizes) if n == 0]
+    if empty:
+        raise ParameterError(
+            f"{total} samples give train/val/test sizes {sizes}: "
+            f"empty {', '.join(empty)} split; more samples are needed"
+        )
+    n_train, n_val, _ = sizes
     order = np.random.default_rng(spec.seed).permutation(total)
     return {
         "train": dataset.subset(order[:n_train]),
@@ -230,75 +241,76 @@ def split(dataset, spec=SplitSpec()):
     }
 
 
+def _member_path(path, name):
+    return Path(path) / f"{name}.nhar"
+
+
 def save_dataset(dataset, path):
-    d = dataset.dimension
-    n_l = dataset.patch_size
-    n_out = dataset.n_out
-    total = len(dataset)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<4Q", total, n_l, d, n_out))
-        fh.write(struct.pack("<2d", dataset.scaler.input_min, dataset.scaler.input_max))
-        fh.write(np.ascontiguousarray(dataset.scaler.output_min, "<f8").tobytes())
-        fh.write(np.ascontiguousarray(dataset.scaler.output_max, "<f8").tobytes())
-        for j in range(total):
-            fh.write(
-                struct.pack(
-                    "<2Q", int(dataset.realization[j]), int(dataset.cell[j])
-                )
-            )
-            fh.write(np.ascontiguousarray(dataset.X[j], "<f8").tobytes())
-            fh.write(np.ascontiguousarray(dataset.Y[j], "<f8").tobytes())
+    """Write the dataset's member arrays into the directory ``path``."""
+    Path(path).mkdir(parents=True, exist_ok=True)
+    s = dataset.scaler
+    members = {
+        "inputs": dataset.X,
+        "outputs": dataset.Y,
+        "ids": np.stack([dataset.realization, dataset.cell], axis=1),
+        "scaler": [np.r_[s.input_min, s.output_min], np.r_[s.input_max, s.output_max]],
+    }
+    for name, values in members.items():
+        write_array(_member_path(path, name), values)
 
 
-def _read_exact(fh, n, path):
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"{path}: truncated dataset file")
-    return data
+def _read_member(path, name):
+    member = _member_path(path, name)
+    if not member.exists():
+        raise FormatError(f"{path}: dataset member {member.name} is missing")
+    return read_array(member)
+
+
+def _bad_member(path, name, shape, expected):
+    return FormatError(
+        f"{path}: dataset member {name}.nhar has shape {shape}, expected {expected}"
+    )
+
+
+def load_scaler(path):
+    """The scaler of the dataset stored in ``path``, read on its own."""
+    values = _read_member(path, "scaler")
+    if values.ndim != 2 or values.shape[0] != 2 or values.shape[1] < 2:
+        raise _bad_member(path, "scaler", values.shape, "(2, 1 + N_out)")
+    return Scaler(
+        input_min=float(values[0, 0]),
+        input_max=float(values[1, 0]),
+        output_min=values[0, 1:].copy(),
+        output_max=values[1, 1:].copy(),
+    )
 
 
 def load_dataset(path):
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != MAGIC:
-            raise FormatError(f"{path}: bad magic, not a dataset file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        if version != VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        total, n_l, d, n_out = struct.unpack("<4Q", _read_exact(fh, 32, path))
-        if d not in (2, 3):
-            raise FormatError(f"{path}: invalid dimension {d}")
-        in_min, in_max = struct.unpack("<2d", _read_exact(fh, 16, path))
-        out_min = np.frombuffer(_read_exact(fh, 8 * n_out, path), "<f8").copy()
-        out_max = np.frombuffer(_read_exact(fh, 8 * n_out, path), "<f8").copy()
-
-        patch = n_l**d
-        X = np.empty((total,) + (n_l,) * d)
-        Y = np.empty((total, n_out))
-        rid = np.empty(total, dtype=np.int64)
-        cid = np.empty(total, dtype=np.int64)
-        for j in range(total):
-            rid[j], cid[j] = struct.unpack("<2Q", _read_exact(fh, 16, path))
-            X[j] = np.frombuffer(_read_exact(fh, 8 * patch, path), "<f8").reshape(
-                (n_l,) * d
-            )
-            Y[j] = np.frombuffer(_read_exact(fh, 8 * n_out, path), "<f8")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after last sample")
-
+    """Read a dataset directory; members must agree in L, d, N_l and N_out."""
+    scaler = load_scaler(path)
+    X = _read_member(path, "inputs")
+    Y = _read_member(path, "outputs")
+    ids = _read_member(path, "ids")
+    total, d, n_out = len(X), X.ndim - 1, scaler.output_min.size
+    if d not in (2, 3) or len(set(X.shape[1:])) != 1:
+        raise _bad_member(path, "inputs", X.shape, "(L, N_l, ..., N_l), d = 2 or 3")
+    for name, values, shape, source in (
+        ("outputs", Y, (total, n_out), "L of inputs.nhar, N_out of scaler.nhar"),
+        ("ids", ids, (total, 2), "L of inputs.nhar"),
+    ):
+        if values.shape != shape:
+            raise _bad_member(path, name, values.shape, f"{shape} ({source})")
+    try:
+        target = target_from_components(n_out, d)
+    except ParameterError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return Dataset(
-        dimension=int(d),
-        patch_size=int(n_l),
-        target=target_from_components(int(n_out), int(d)),
+        dimension=d,
+        patch_size=X.shape[1],
+        target=target,
         X=X,
         Y=Y,
-        realization=rid,
-        cell=cid,
-        scaler=Scaler(
-            input_min=in_min,
-            input_max=in_max,
-            output_min=out_min,
-            output_max=out_max,
-        ),
+        realization=ids[:, 0].astype(np.int64),
+        cell=ids[:, 1].astype(np.int64),
+        scaler=scaler,
     )

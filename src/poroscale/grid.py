@@ -103,9 +103,6 @@ class StructuredGrid:
         vol = float(np.prod(self.spacing))
         return vol / (2.0 if self.dimension == 2 else 6.0)
 
-    def node_index(self, multi_index):
-        return int(np.ravel_multi_index(multi_index, self.node_shape))
-
     def _cell_corner_ids(self):
         """Flat node id of the low corner of every cell, C order over cells."""
         idx = np.meshgrid(

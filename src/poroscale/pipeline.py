@@ -12,7 +12,7 @@ Layout inside the run directory:
     fields/real_<l>_{perm,young}.nhar     nodal property arrays
     tensors/real_<l>_{perm,stiff}.nhar    effective tensors (direct)
     predicted/real_<l>_{perm,stiff}.nhar  effective tensors (surrogate)
-    datasets/{permeability,elasticity}.nhds
+    datasets/<target>/<member>.nhar       inputs, outputs, ids, scaler
     models/{permeability,elasticity}.nhnn + loss_<target>.csv
     metrics/<target>.csv
     states/{fine,coarse_direct,coarse_predicted}_<l>_{p,u}.nhar
@@ -32,6 +32,7 @@ from .dataset import (
     TARGET_PERMEABILITY,
     build_dataset,
     load_dataset,
+    load_scaler,
     patch_input_array,
     save_dataset,
     split,
@@ -41,10 +42,8 @@ from .grid import StructuredGrid
 from .homogenize import (
     EffectiveTensors,
     PatchEngine,
-    extract_patches,
     homogenize_domain,
     patch_grid,
-    patch_ratio,
 )
 from .poro import PoroState, error_norms, solve_coarse, solve_poroelasticity
 from .random_field import PropertyFields, build_kl_basis, field_to_properties, sample_field
@@ -88,7 +87,7 @@ class RunLayout:
         return self.root / sub / f"real_{index:04d}_{kind}.nhar"
 
     def dataset_path(self, target):
-        return self.root / "datasets" / f"{target}.nhds"
+        return self.root / "datasets" / target
 
     def model_path(self, target):
         return self.root / "models" / f"{target}.nhnn"
@@ -355,22 +354,14 @@ def predict_tensors(networks, scalers, grid, coarse_cells, fields):
     the scaler of its training data. Returns target -> (n_cells, m, m)
     SPD tensors, cells in row-major order.
     """
-    _, patches = extract_patches(grid, coarse_cells, fields)
-    d = grid.dimension
-    n_l = patch_ratio(grid, coarse_cells)
     outputs = {}
     for target, network in networks.items():
-        raw = np.stack(
-            [
-                patch_input_array(
-                    p.perm if target == TARGET_PERMEABILITY else p.young, d, n_l
-                )
-                for p in patches
-            ]
+        values = fields.perm if target == TARGET_PERMEABILITY else fields.young
+        scaled = scalers[target].scale_input(
+            patch_input_array(grid, coarse_cells, values)
         )
-        scaled = scalers[target].scale_input(raw)
         outputs[target] = predict_effective(
-            network, scaled, scalers[target], target, d
+            network, scaled, scalers[target], target, grid.dimension
         )
     return outputs
 
@@ -385,7 +376,7 @@ def predict_stage(config, layout):
         _require(layout.model_path(target), "train")
         _require(layout.dataset_path(target), "build-dataset")
         networks[target] = load_network(layout.model_path(target))
-        scalers[target] = load_dataset(layout.dataset_path(target)).scaler
+        scalers[target] = load_scaler(layout.dataset_path(target))
     online_load = time.perf_counter() - t0
 
     per_realization = {}

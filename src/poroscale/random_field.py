@@ -89,10 +89,6 @@ class KLBasis:
         return self.eigenvalues.shape[0]
 
     @property
-    def n_nodes(self):
-        return self.modes.shape[1]
-
-    @property
     def captured_fraction(self):
         return float(self.eigenvalues.sum() / self.total_energy)
 

@@ -92,9 +92,6 @@ class Network:
             [self.forward(x[s : s + chunk]) for s in range(0, len(x), chunk)]
         )
 
-    def n_parameters(self):
-        return sum(p.size for p in self.params)
-
     def __repr__(self):
         inner = ", ".join(repr(layer) for layer in self.layers)
         return f"Network([{inner}])"

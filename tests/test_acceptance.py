@@ -19,6 +19,7 @@ from poroscale.dataset import (
     TARGET_ELASTICITY,
     TARGET_PERMEABILITY,
     load_dataset,
+    load_scaler,
     split,
 )
 from poroscale.elasticity import isotropic_stiffness
@@ -303,7 +304,7 @@ def test_criterion_07_surrogate_in_loop(criterion, surrogate_run):
 def test_criterion_08_speedup(criterion, desk_run_trained):
     config, layout, _, _ = desk_run_trained
     networks = {t: load_network(layout.model_path(t)) for t in TARGETS}
-    scalers = {t: load_dataset(layout.dataset_path(t)).scaler for t in TARGETS}
+    scalers = {t: load_scaler(layout.dataset_path(t)) for t in TARGETS}
 
     def best_of_3(route):
         # one warm-up call, then the fastest of three timed calls
@@ -368,7 +369,7 @@ def test_criterion_09_determinism(criterion, tmp_path):
         "tensors/*.nhar",
         "predicted/*.nhar",
         "states/*.nhar",
-        "datasets/*.nhds",
+        "datasets/*/*.nhar",
         "models/*.nhnn",
         "models/*.csv",
         "metrics/*.csv",

@@ -1,12 +1,10 @@
 """Dataset assembly, scaling, splitting, and the on-disk format."""
 
-import struct
-
 import numpy as np
 import pytest
 
+from poroscale.arrayio import read_array, write_array
 from poroscale.dataset import (
-    MAGIC,
     TARGET_ELASTICITY,
     TARGET_PERMEABILITY,
     Dataset,
@@ -14,6 +12,7 @@ from poroscale.dataset import (
     SplitSpec,
     build_dataset,
     load_dataset,
+    load_scaler,
     patch_input_array,
     save_dataset,
     split,
@@ -22,7 +21,7 @@ from poroscale.dataset import (
 )
 from poroscale.errors import FormatError, ParameterError
 from poroscale.grid import StructuredGrid
-from poroscale.homogenize import homogenize_domain
+from poroscale.homogenize import extract_patches, homogenize_domain
 from poroscale.random_field import PropertyFields
 
 
@@ -91,15 +90,26 @@ def test_degenerate_input_range():
     assert np.allclose(scaler.scale_input(np.full(5, 2.0)), 0.0)
 
 
-def test_patch_input_array_drops_far_edges():
-    vals2 = np.arange(25.0)
-    arr2 = patch_input_array(vals2, 2, 4)
-    assert arr2.shape == (4, 4)
-    assert np.array_equal(arr2, vals2.reshape(5, 5)[:4, :4])
-    vals3 = np.arange(27.0)
-    arr3 = patch_input_array(vals3, 3, 2)
-    assert arr3.shape == (2, 2, 2)
-    assert np.array_equal(arr3, vals3.reshape(3, 3, 3)[:2, :2, :2])
+@pytest.mark.parametrize(
+    "d, fine, coarse",
+    [(2, 32, 4), (2, 16, 1), (3, 24, 2), (3, 12, 3)],
+    ids=["32x32-4x4", "16x16-1x1", "24^3-2^3", "12^3-3^3"],
+)
+def test_patch_input_array_equals_patch_windows(d, fine, coarse):
+    grid = StructuredGrid((fine,) * d)
+    rng = np.random.default_rng(fine)
+    fields = PropertyFields(
+        perm=rng.normal(size=grid.n_nodes), young=rng.normal(size=grid.n_nodes), eta=0.3
+    )
+    patch_grid, patches = extract_patches(grid, (coarse,) * d, fields)
+    n_l = fine // coarse
+    inputs = patch_input_array(grid, (coarse,) * d, fields.perm)
+    assert inputs.shape == (coarse**d,) + (n_l,) * d
+    # each overlapping (N_l+1)^d window without its far-edge slice
+    windows = np.stack(
+        [p.perm.reshape(patch_grid.node_shape)[(slice(0, n_l),) * d] for p in patches]
+    )
+    assert np.array_equal(inputs, windows)
 
 
 def test_split_deterministic_disjoint_exhaustive():
@@ -157,62 +167,74 @@ def test_build_dataset_input_validation():
 
 
 def test_save_load_round_trip(tmp_path):
-    ds = small_dataset(n=17, seed=11)
-    path = tmp_path / "set.nhds"
-    save_dataset(ds, path)
-    back = load_dataset(path)
-    assert back.dimension == ds.dimension
-    assert back.patch_size == ds.patch_size
-    assert back.target == ds.target
-    assert np.array_equal(back.X, ds.X)
-    assert np.array_equal(back.Y, ds.Y)
-    assert np.array_equal(back.realization, ds.realization)
-    assert np.array_equal(back.cell, ds.cell)
-    assert back.scaler.input_min == ds.scaler.input_min
-    assert np.array_equal(back.scaler.output_max, ds.scaler.output_max)
+    for d, n_out in ((2, 3), (3, 21)):
+        ds = small_dataset(n=17, d=d, n_out=n_out, seed=11)
+        ds.scaler.output_min = np.linspace(-1.0, 0.5, n_out)
+        path = tmp_path / f"set{d}"
+        save_dataset(ds, path)
+        members = sorted(p.name for p in path.iterdir())
+        assert members == ["ids.nhar", "inputs.nhar", "outputs.nhar", "scaler.nhar"]
+        assert read_array(path / "inputs.nhar").shape == (17,) + (4,) * d
+        assert read_array(path / "scaler.nhar").shape == (2, 1 + n_out)
+        back = load_dataset(path)
+        assert back.dimension == ds.dimension
+        assert back.patch_size == ds.patch_size
+        assert back.target == ds.target
+        assert np.array_equal(back.X, ds.X)
+        assert np.array_equal(back.Y, ds.Y)
+        assert np.array_equal(back.realization, ds.realization)
+        assert np.array_equal(back.cell, ds.cell)
+        assert back.realization.dtype == back.cell.dtype == np.int64
+        assert back.scaler.input_min == ds.scaler.input_min
+        assert back.scaler.input_max == ds.scaler.input_max
+        assert np.array_equal(back.scaler.output_min, ds.scaler.output_min)
+        assert np.array_equal(back.scaler.output_max, ds.scaler.output_max)
 
 
-def test_header_golden_bytes(tmp_path):
-    ds = small_dataset(n=2, n_l=2, d=2, n_out=3, seed=1)
-    path = tmp_path / "tiny.nhds"
-    save_dataset(ds, path)
-    blob = path.read_bytes()
-    expected = MAGIC + struct.pack("<I", 1) + struct.pack("<4Q", 2, 2, 2, 3)
-    expected += struct.pack("<2d", 0.0, 1.0)
-    expected += ds.scaler.output_min.astype("<f8").tobytes()
-    expected += ds.scaler.output_max.astype("<f8").tobytes()
-    assert blob[: len(expected)] == expected
-    # per sample: two u64 ids, 4 input doubles, 3 output doubles
-    assert len(blob) == len(expected) + 2 * (16 + 32 + 24)
-    ids = struct.unpack("<2Q", blob[len(expected) : len(expected) + 16])
-    assert ids == (0, 0)
+def test_load_scaler_equals_dataset_scaler(tmp_path):
+    ds = small_dataset(n=5, seed=2)
+    ds.scaler.input_min, ds.scaler.input_max = -0.25, 3.5
+    save_dataset(ds, tmp_path / "set")
+    alone = load_scaler(tmp_path / "set")
+    full = load_dataset(tmp_path / "set").scaler
+    assert (alone.input_min, alone.input_max) == (full.input_min, full.input_max)
+    assert np.array_equal(alone.output_min, full.output_min)
+    assert np.array_equal(alone.output_max, full.output_max)
 
 
-def test_load_rejects_corrupt_files(tmp_path):
-    ds = small_dataset(n=3)
-    path = tmp_path / "set.nhds"
-    save_dataset(ds, path)
-    blob = path.read_bytes()
+@pytest.mark.parametrize("member", ["inputs", "outputs", "ids", "scaler"])
+def test_load_rejects_missing_member(tmp_path, member):
+    save_dataset(small_dataset(n=3), tmp_path / "set")
+    (tmp_path / "set" / f"{member}.nhar").unlink()
+    with pytest.raises(FormatError, match=f"{member}.nhar"):
+        load_dataset(tmp_path / "set")
 
-    bad_magic = tmp_path / "magic.nhds"
-    bad_magic.write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(FormatError):
-        load_dataset(bad_magic)
 
-    bad_version = tmp_path / "version.nhds"
-    bad_version.write_bytes(blob[:4] + struct.pack("<I", 9) + blob[8:])
-    with pytest.raises(FormatError):
-        load_dataset(bad_version)
+@pytest.mark.parametrize(
+    "member, shape",
+    [
+        ("inputs", (4, 4, 4)),
+        ("outputs", (4, 3)),
+        ("outputs", (3, 2)),
+        ("ids", (2, 2)),
+        ("scaler", (2, 5)),
+        ("scaler", (3,)),
+        ("inputs", (3, 4, 5)),
+        ("inputs", (3, 4)),
+    ],
+)
+def test_load_rejects_mismatched_members(tmp_path, member, shape):
+    save_dataset(small_dataset(n=3), tmp_path / "set")
+    write_array(tmp_path / "set" / f"{member}.nhar", np.zeros(shape))
+    with pytest.raises(FormatError, match=f"{member}.nhar"):
+        load_dataset(tmp_path / "set")
 
-    truncated = tmp_path / "short.nhds"
-    truncated.write_bytes(blob[:-5])
-    with pytest.raises(FormatError):
-        load_dataset(truncated)
 
-    padded = tmp_path / "long.nhds"
-    padded.write_bytes(blob + b"\x00")
-    with pytest.raises(FormatError):
-        load_dataset(padded)
+@pytest.mark.parametrize("n, empty", [(1, "train, test"), (2, "train")])
+def test_split_rejects_empty_parts(n, empty):
+    with pytest.raises(ParameterError, match=f"empty {empty} split") as info:
+        split(small_dataset(n=n))
+    assert str(SplitSpec().sizes(n)) in str(info.value)
 
 
 def test_split_spec_validation():

@@ -30,7 +30,7 @@ def test_node_coords_lattice():
     # C order over the lattice: x2 varies fastest
     expected_first = [(0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.5, 0.0)]
     assert np.allclose(g.node_coords[:4], expected_first)
-    assert g.node_index((1, 2)) == 5
+    assert np.ravel_multi_index((1, 2), g.node_shape) == 5
 
 
 @pytest.mark.parametrize("cells", [(1, 1), (3, 2), (4, 4), (2, 2, 2), (3, 2, 4)])
