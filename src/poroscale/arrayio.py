@@ -12,9 +12,13 @@ Layout (all integers little-endian):
 A 3x4 float64 array therefore carries 4+4+1+1+16 = 26 header bytes before
 the payload. Reads validate magic, version, dtype, and payload length and
 raise :class:`FormatError` on any mismatch, including truncated files.
+
+Datasets and models are directories of such files, one ``<name>.nhar``
+member per array (:func:`write_members`, :func:`read_member`).
 """
 
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -59,3 +63,18 @@ def read_array(path):
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
     return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+
+
+def write_members(directory, members):
+    """Write each ``name: array`` of ``members`` to ``directory/<name>.nhar``."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    for name, values in members.items():
+        write_array(Path(directory) / f"{name}.nhar", values)
+
+
+def read_member(directory, name):
+    """Read ``directory/<name>.nhar``; a missing member is a FormatError."""
+    member = Path(directory) / f"{name}.nhar"
+    if not member.exists():
+        raise FormatError(f"{directory}: member {member.name} is missing")
+    return read_array(member)

@@ -1,17 +1,15 @@
 """Command line interface: one subcommand per pipeline stage.
 
 Every subcommand takes exactly one of ``--config FILE`` or ``--preset
-NAME``, plus optional ``--workdir`` and ``--threads`` overrides (the
-``NH_THREADS`` environment variable sits between the flag and the config
-in precedence). Exit code is 0 on success; failures print a diagnostic
-to stderr and exit nonzero.
+NAME``, plus optional ``--workdir`` and ``--threads`` overrides of the
+config's ``workdir`` and ``threads``. Exit code is 0 on success; failures
+print a diagnostic to stderr and exit nonzero.
 """
 
 import argparse
 import dataclasses
 import json
 import logging
-import os
 import sys
 
 from .config import PRESET_NAMES, load_config, load_preset
@@ -56,7 +54,7 @@ def _add_common(sub):
         "--threads",
         type=int,
         metavar="N",
-        help="parallel workers; overrides NH_THREADS and the config",
+        help="parallel workers; overrides the config",
     )
 
 
@@ -83,26 +81,13 @@ def build_parser():
     return parser
 
 
-def _threads_override(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("NH_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParameterError(f"NH_THREADS must be an integer, got {env!r}") from exc
-    return None
-
-
 def resolve_config(args):
     if bool(args.config) == bool(args.preset):
         raise ParameterError("pass exactly one of --config or --preset")
     config = load_config(args.config) if args.config else load_preset(args.preset)
     overrides = {}
-    threads = _threads_override(args)
-    if threads is not None:
-        overrides["threads"] = threads
+    if args.threads is not None:
+        overrides["threads"] = args.threads
     if args.workdir:
         overrides["workdir"] = args.workdir
     if overrides:

@@ -22,11 +22,10 @@ A dataset is stored as a directory of NHAR array files
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .arrayio import read_array, write_array
+from .arrayio import read_member, write_members
 from .elasticity import n_strain_components, upper_triangle
 from .errors import FormatError, ParameterError
 from .homogenize import patch_ratio
@@ -241,13 +240,8 @@ def split(dataset, spec=SplitSpec()):
     }
 
 
-def _member_path(path, name):
-    return Path(path) / f"{name}.nhar"
-
-
 def save_dataset(dataset, path):
     """Write the dataset's member arrays into the directory ``path``."""
-    Path(path).mkdir(parents=True, exist_ok=True)
     s = dataset.scaler
     members = {
         "inputs": dataset.X,
@@ -255,15 +249,7 @@ def save_dataset(dataset, path):
         "ids": np.stack([dataset.realization, dataset.cell], axis=1),
         "scaler": [np.r_[s.input_min, s.output_min], np.r_[s.input_max, s.output_max]],
     }
-    for name, values in members.items():
-        write_array(_member_path(path, name), values)
-
-
-def _read_member(path, name):
-    member = _member_path(path, name)
-    if not member.exists():
-        raise FormatError(f"{path}: dataset member {member.name} is missing")
-    return read_array(member)
+    write_members(path, members)
 
 
 def _bad_member(path, name, shape, expected):
@@ -274,7 +260,7 @@ def _bad_member(path, name, shape, expected):
 
 def load_scaler(path):
     """The scaler of the dataset stored in ``path``, read on its own."""
-    values = _read_member(path, "scaler")
+    values = read_member(path, "scaler")
     if values.ndim != 2 or values.shape[0] != 2 or values.shape[1] < 2:
         raise _bad_member(path, "scaler", values.shape, "(2, 1 + N_out)")
     return Scaler(
@@ -288,9 +274,9 @@ def load_scaler(path):
 def load_dataset(path):
     """Read a dataset directory; members must agree in L, d, N_l and N_out."""
     scaler = load_scaler(path)
-    X = _read_member(path, "inputs")
-    Y = _read_member(path, "outputs")
-    ids = _read_member(path, "ids")
+    X = read_member(path, "inputs")
+    Y = read_member(path, "outputs")
+    ids = read_member(path, "ids")
     total, d, n_out = len(X), X.ndim - 1, scaler.output_min.size
     if d not in (2, 3) or len(set(X.shape[1:])) != 1:
         raise _bad_member(path, "inputs", X.shape, "(L, N_l, ..., N_l), d = 2 or 3")

@@ -30,6 +30,8 @@ logger = logging.getLogger(__name__)
 
 # elements per COO accumulation block; keeps peak assembly memory flat
 _CHUNK = 1 << 18
+# relative residual every linear solve must reach
+SOLVE_TOL = 1e-8
 
 
 class P1Space:
@@ -356,7 +358,7 @@ class LUSolver:
     symmetric positive definite matrices.
     """
 
-    def __init__(self, matrix, tol=1e-8, spd=False):
+    def __init__(self, matrix, tol=SOLVE_TOL, spd=False):
         self.matrix = matrix.tocsc()
         self.tol = tol
         options = {}

@@ -37,10 +37,8 @@ from .elasticity import (
     unit_strain_tensor,
 )
 from .errors import ParameterError
-from .fem import LUSolver, P1Space
+from .fem import SOLVE_TOL, LUSolver, P1Space
 from .grid import StructuredGrid
-
-SOLVE_TOL = 1e-8
 
 
 @dataclass

@@ -13,7 +13,8 @@ Layout inside the run directory:
     tensors/real_<l>_{perm,stiff}.nhar    effective tensors (direct)
     predicted/real_<l>_{perm,stiff}.nhar  effective tensors (surrogate)
     datasets/<target>/<member>.nhar       inputs, outputs, ids, scaler
-    models/{permeability,elasticity}.nhnn + loss_<target>.csv
+    models/<target>/<member>.nhar         architecture, weights
+    models/loss_<target>.csv              training loss history
     metrics/<target>.csv
     states/{fine,coarse_direct,coarse_predicted}_<l>_{p,u}.nhar
     timing/<stage>.json
@@ -90,7 +91,7 @@ class RunLayout:
         return self.root / "datasets" / target
 
     def model_path(self, target):
-        return self.root / "models" / f"{target}.nhnn"
+        return self.root / "models" / target
 
     def loss_path(self, target):
         return self.root / "models" / f"loss_{target}.csv"

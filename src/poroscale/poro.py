@@ -21,10 +21,8 @@ import numpy as np
 
 from .elasticity import isotropic_stiffness, n_strain_components
 from .errors import ParameterError
-from .fem import LUSolver, P1Space, constrain_system
+from .fem import SOLVE_TOL, LUSolver, P1Space, constrain_system
 from .grid import StructuredGrid
-
-SOLVE_TOL = 1e-8
 
 
 @dataclass(frozen=True)

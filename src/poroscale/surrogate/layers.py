@@ -19,6 +19,7 @@ sample, so every forward pass, inference included, runs on a bounded
 batch (``Network.predict``).
 """
 
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -125,7 +126,7 @@ class ReLU:
 class MaxPool:
     """2^d max pooling with stride 2; odd extents round up (ceil mode).
 
-    Ragged edges are padded with -inf so the padding never wins. Ties
+    Odd extents are padded with -inf so the padding never wins. Ties
     route the gradient to the first maximal position only.
     """
 
@@ -138,42 +139,33 @@ class MaxPool:
         self.dim = dim
         self._cache = None
 
-    def _window_split(self, x):
-        spatial = x.shape[2:]
-        out = tuple(-(-n // 2) for n in spatial)
-        pad = [(0, 0), (0, 0)] + [(0, 2 * o - n) for o, n in zip(out, spatial)]
-        xp = np.pad(x, pad, constant_values=-np.inf)
-        # (b, c, o1, 2, o2, 2, ...) -> (b, c, o1, o2, ..., 2^d)
-        split = xp.reshape(
-            x.shape[:2] + tuple(v for o in out for v in (o, 2))
-        )
-        order = (0, 1) + tuple(2 + 2 * i for i in range(self.dim)) + tuple(
-            3 + 2 * i for i in range(self.dim)
-        )
-        windows = split.transpose(order).reshape(
-            x.shape[:2] + out + (2**self.dim,)
-        )
-        return windows, out, spatial
+    def _slots(self, x):
+        """The 2^d strided views ``x[..., i0::2, i1::2(, i2::2)]``, C order."""
+        return [
+            x[(Ellipsis,) + tuple(slice(i, None, 2) for i in offset)]
+            for offset in np.ndindex(*(2,) * self.dim)
+        ]
 
     def forward(self, x, train=False, rng=None):
-        windows, out, spatial = self._window_split(x)
-        idx = windows.argmax(axis=-1)
-        self._cache = (idx, out, spatial, x.shape[:2])
-        return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+        spatial = x.shape[2:]
+        if any(n % 2 for n in spatial):
+            pad = [(0, 0), (0, 0)] + [(0, n % 2) for n in spatial]
+            x = np.pad(x, pad, constant_values=-np.inf)
+        slots = self._slots(x)
+        out = reduce(np.maximum, slots)
+        # first maximal slot per output: later slots are overwritten by earlier
+        first = np.zeros(out.shape, dtype=np.int8)
+        for s in reversed(range(len(slots))):
+            np.putmask(first, slots[s] == out, s)
+        self._cache = (first, x.shape, spatial)
+        return out
 
     def backward(self, grad_out):
-        idx, out, spatial, lead = self._cache
-        windows = np.zeros(lead + out + (2**self.dim,))
-        np.put_along_axis(windows, idx[..., None], grad_out[..., None], axis=-1)
-        order = (0, 1) + tuple(2 + 2 * i for i in range(self.dim)) + tuple(
-            3 + 2 * i for i in range(self.dim)
-        )
-        padded = (
-            windows.reshape(lead + out + (2,) * self.dim)
-            .transpose(np.argsort(order))
-            .reshape(lead + tuple(2 * o for o in out))
-        )
-        return padded[(slice(None), slice(None)) + tuple(slice(0, n) for n in spatial)]
+        first, padded_shape, spatial = self._cache
+        grad = np.empty(padded_shape)
+        for s, view in enumerate(self._slots(grad)):
+            np.multiply(grad_out, first == s, out=view)
+        return grad[(Ellipsis,) + tuple(slice(0, n) for n in spatial)]
 
     def __repr__(self):
         return f"MaxPool({self.dim}d)"

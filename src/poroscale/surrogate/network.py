@@ -1,4 +1,4 @@
-"""Network assembly, Adam updates, and the weights file format.
+"""Network assembly, Adam updates, and the model directory.
 
 Architectures are feed-forward stacks built from the layers module. The
 patch regressors pair convolution/pool blocks with a dense head:
@@ -9,22 +9,25 @@ patch regressors pair convolution/pool blocks with a dense head:
 each block being Conv(3^d, same) -> ReLU -> MaxPool(2^d, stride 2), then
 Flatten -> Dense(512) -> Dropout -> Dense(n_out).
 
-File format "NHNN" (little-endian): magic, u32 version, u32 layer count,
-one record per layer (u8 kind, u8 int-field count, u64 fields, u8
-float-field count, f64 fields), then every parameter array as raw float64
-in layer order. Optimizer state is not stored.
+A saved model is a directory of NHAR array files
+(:mod:`poroscale.arrayio`): the arguments of :func:`build_network` and
+the weights it holds.
+
+    architecture.nhar  (4,)  dim, patch, n_out, dropout
+    weights.nhar       (P,)  every parameter, flattened in layer order
+
+Loading rebuilds the network from ``architecture.nhar`` and overwrites
+its parameters, so only networks that ``build_network`` made can be
+saved. Optimizer state and the initialization seed are not stored.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..arrayio import read_member, write_members
 from ..errors import FormatError, ParameterError
 from .layers import Conv, Dense, Dropout, Flatten, MaxPool, ReLU
-
-MAGIC = b"NHNN"
-VERSION = 1
 
 HIDDEN_WIDTH = 512
 FILTERS_2D = (8, 16, 32, 64)
@@ -33,19 +36,17 @@ DEFAULT_DROPOUT = 0.1
 # samples per forward pass of Network.predict
 INFERENCE_CHUNK = 64
 
-_KIND_CONV = 0
-_KIND_RELU = 1
-_KIND_POOL = 2
-_KIND_FLATTEN = 3
-_KIND_DENSE = 4
-_KIND_DROPOUT = 5
-
 
 class Network:
-    """Ordered layer stack with shared forward/backward plumbing."""
+    """Ordered layer stack with shared forward/backward plumbing.
 
-    def __init__(self, layers):
+    ``architecture`` holds the ``(dim, patch, n_out, dropout)`` arguments
+    of :func:`build_network` for the networks it made, else ``None``.
+    """
+
+    def __init__(self, layers, architecture=None):
         self.layers = list(layers)
+        self.architecture = architecture
 
     @property
     def params(self):
@@ -114,6 +115,8 @@ def build_network(dim, patch, n_out, dropout=DEFAULT_DROPOUT, seed=0):
         raise ParameterError("architecture is defined for 2 or 3 dimensions")
     if patch < 1:
         raise ParameterError("patch extent must be positive")
+    if n_out < 1:
+        raise ParameterError("output count must be positive")
     rng = np.random.default_rng(seed)
     layers = []
     in_ch = 1
@@ -127,7 +130,7 @@ def build_network(dim, patch, n_out, dropout=DEFAULT_DROPOUT, seed=0):
         Dropout(dropout),
         Dense(HIDDEN_WIDTH, n_out, rng=rng),
     ]
-    return Network(layers)
+    return Network(layers, architecture=(dim, patch, n_out, dropout))
 
 
 @dataclass(frozen=True)
@@ -171,83 +174,40 @@ class Adam:
             )
 
 
-def _layer_record(layer):
-    if isinstance(layer, Conv):
-        out_ch, in_ch = layer.weight.shape[:2]
-        return _KIND_CONV, (layer.dim, in_ch, out_ch, layer.kernel), ()
-    if isinstance(layer, ReLU):
-        return _KIND_RELU, (), ()
-    if isinstance(layer, MaxPool):
-        return _KIND_POOL, (layer.dim,), ()
-    if isinstance(layer, Flatten):
-        return _KIND_FLATTEN, (), ()
-    if isinstance(layer, Dense):
-        return _KIND_DENSE, layer.weight.shape, ()
-    if isinstance(layer, Dropout):
-        return _KIND_DROPOUT, (), (layer.rate,)
-    raise ParameterError(f"cannot serialize layer {layer!r}")
-
-
-def _layer_from_record(kind, ints, floats):
-    if kind == _KIND_CONV:
-        dim, in_ch, out_ch, kernel = ints
-        return Conv(dim, in_ch, out_ch, kernel, rng=np.random.default_rng(0))
-    if kind == _KIND_RELU:
-        return ReLU()
-    if kind == _KIND_POOL:
-        return MaxPool(ints[0])
-    if kind == _KIND_FLATTEN:
-        return Flatten()
-    if kind == _KIND_DENSE:
-        return Dense(ints[0], ints[1], rng=np.random.default_rng(0))
-    if kind == _KIND_DROPOUT:
-        return Dropout(floats[0])
-    raise FormatError(f"unknown layer kind {kind}")
-
-
 def save_network(network, path):
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(network.layers)))
-        for layer in network.layers:
-            kind, ints, floats = _layer_record(layer)
-            fh.write(struct.pack("<BB", kind, len(ints)))
-            fh.write(struct.pack(f"<{len(ints)}Q", *ints))
-            fh.write(struct.pack("<B", len(floats)))
-            fh.write(struct.pack(f"<{len(floats)}d", *floats))
-        for param in network.params:
-            fh.write(np.asarray(param, dtype="<f8", order="C").tobytes())
-
-
-def _read_exact(fh, n, path):
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"{path}: truncated weights file")
-    return data
+    """Write ``architecture.nhar`` and ``weights.nhar`` into the directory ``path``."""
+    if network.architecture is None:
+        raise ParameterError(
+            f"cannot save {network!r}: only networks made by build_network are stored"
+        )
+    members = {
+        "architecture": network.architecture,
+        "weights": np.concatenate([p.ravel() for p in network.params]),
+    }
+    write_members(path, members)
 
 
 def load_network(path):
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != MAGIC:
-            raise FormatError(f"{path}: bad magic, not a weights file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        if version != VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        (n_layers,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        layers = []
-        for _ in range(n_layers):
-            kind, n_ints = struct.unpack("<BB", _read_exact(fh, 2, path))
-            ints = struct.unpack(f"<{n_ints}Q", _read_exact(fh, 8 * n_ints, path))
-            (n_floats,) = struct.unpack("<B", _read_exact(fh, 1, path))
-            floats = struct.unpack(
-                f"<{n_floats}d", _read_exact(fh, 8 * n_floats, path)
-            )
-            layers.append(_layer_from_record(kind, ints, floats))
-        network = Network(layers)
-        for param in network.params:
-            raw = _read_exact(fh, 8 * param.size, path)
-            param[...] = np.frombuffer(raw, "<f8").reshape(param.shape)
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after parameters")
+    """Rebuild the network stored in the directory ``path``."""
+    arch = read_member(path, "architecture")
+    weights = read_member(path, "weights")
+    if arch.shape != (4,) or not np.isfinite(arch).all() or (arch[:3] % 1).any():
+        raise FormatError(
+            f"{path}: model member architecture.nhar must hold integral dim, "
+            f"patch and n_out, then dropout, as shape (4,); got shape {arch.shape}"
+            f" and values {arch.ravel()[:4].tolist()}"
+        )
+    dim, patch, n_out = (int(v) for v in arch[:3])
+    try:
+        network = build_network(dim, patch, n_out, dropout=float(arch[3]))
+    except ParameterError as exc:
+        raise FormatError(f"{path}: model member architecture.nhar: {exc}") from None
+    sizes = [p.size for p in network.params]
+    if weights.shape != (sum(sizes),):
+        raise FormatError(
+            f"{path}: model member weights.nhar has shape {weights.shape}, "
+            f"expected ({sum(sizes)},) for the architecture {arch.tolist()}"
+        )
+    for param, flat in zip(network.params, np.split(weights, np.cumsum(sizes)[:-1])):
+        param[...] = flat.reshape(param.shape)
     return network

@@ -370,7 +370,7 @@ def test_criterion_09_determinism(criterion, tmp_path):
         "predicted/*.nhar",
         "states/*.nhar",
         "datasets/*/*.nhar",
-        "models/*.nhnn",
+        "models/*/*.nhar",
         "models/*.csv",
         "metrics/*.csv",
         "report/errors.csv",

@@ -135,18 +135,11 @@ def test_config_xor_preset(capsys, tmp_path):
     assert "exactly one of" in capsys.readouterr().err
 
 
-def test_threads_precedence(monkeypatch):
-    monkeypatch.delenv("NH_THREADS", raising=False)
+def test_threads_precedence():
     args = parse(["homogenize", "--preset", "desk-mini"])
     assert resolve_config(args).threads == 1
-    monkeypatch.setenv("NH_THREADS", "3")
-    assert resolve_config(args).threads == 3
     args = parse(["homogenize", "--preset", "desk-mini", "--threads", "2"])
     assert resolve_config(args).threads == 2
-    monkeypatch.setenv("NH_THREADS", "many")
-    args = parse(["homogenize", "--preset", "desk-mini"])
-    with pytest.raises(ParameterError, match="NH_THREADS"):
-        resolve_config(args)
 
 
 def test_workdir_override(tmp_path):

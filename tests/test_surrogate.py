@@ -1,11 +1,10 @@
 """Layers, gradients, Adam, the training loop, and tensor prediction."""
 
-import struct
-
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from poroscale.arrayio import read_array, write_array
 from poroscale.dataset import TARGET_PERMEABILITY, Dataset, Scaler
 from poroscale.errors import FormatError, NumericError, ParameterError
 from poroscale.surrogate import (
@@ -34,8 +33,6 @@ from poroscale.surrogate.network import (
     FILTERS_3D,
     HIDDEN_WIDTH,
     INFERENCE_CHUNK,
-    MAGIC,
-    VERSION,
     pooled_extent,
 )
 from poroscale.surrogate.training import SPD_FLOOR
@@ -274,20 +271,26 @@ def test_pool_matches_naive(dim, spatial):
     np.testing.assert_allclose(got, want, atol=0.0)
 
 
-def test_pool_gradient_routes_to_window_max():
-    x = np.random.default_rng(14).normal(size=(2, 2, 5, 6))
-    layer = MaxPool(2)
+@pytest.mark.parametrize(
+    "shape, ties",
+    [((2, 2, 5, 6), False), ((2, 2, 3, 5, 4), True)],
+    ids=["2d-odd", "3d-odd-ties"],
+)
+def test_pool_gradient_routes_to_window_max(shape, ties):
+    x = np.random.default_rng(14).normal(size=shape)
+    if ties:
+        # integral values: many windows hold their maximum more than once
+        x = np.round(x)
+    layer = MaxPool(len(shape) - 2)
     out = layer.forward(x)
     grad_in = layer.backward(np.ones_like(out))
-    # each input entry receives 1 iff it is its window's maximum
+    # each input entry receives 1 iff it is its window's first maximum
     expected = np.zeros_like(x)
-    for b, c in np.ndindex(2, 2):
-        for pos in np.ndindex(3, 3):
-            rows = slice(2 * pos[0], min(2 * pos[0] + 2, 5))
-            cols = slice(2 * pos[1], min(2 * pos[1] + 2, 6))
-            block = x[b, c, rows, cols]
-            r, s = np.unravel_index(block.argmax(), block.shape)
-            expected[b, c, 2 * pos[0] + r, 2 * pos[1] + s] = 1.0
+    for b, c in np.ndindex(*shape[:2]):
+        for pos in np.ndindex(*out.shape[2:]):
+            block = x[(b, c) + tuple(slice(2 * q, 2 * q + 2) for q in pos)]
+            first = np.unravel_index(block.argmax(), block.shape)
+            expected[(b, c) + tuple(2 * q + r for q, r in zip(pos, first))] = 1.0
     np.testing.assert_allclose(grad_in, expected, atol=0.0)
 
 
@@ -626,72 +629,52 @@ def test_predict_effective_clamps_and_logs(caplog):
 
 
 def test_weights_round_trip(tmp_path):
-    net = build_network(2, 8, 3, seed=31)
-    path = tmp_path / "weights.nhnn"
-    save_network(net, path)
-    clone = load_network(path)
-    assert len(clone.layers) == len(net.layers)
-    for p0, p1 in zip(net.params, clone.params):
-        assert p0.tobytes() == p1.tobytes()
-    x = np.random.default_rng(32).normal(size=(2, 1, 8, 8))
-    np.testing.assert_array_equal(net.forward(x), clone.forward(x))
+    for dim, patch, n_out in ((2, 8, 3), (3, 6, 6)):
+        net = build_network(dim, patch, n_out, dropout=0.25, seed=31)
+        path = tmp_path / f"model{dim}"
+        save_network(net, path)
+        clone = load_network(path)
+        assert clone.architecture == (dim, patch, n_out, 0.25)
+        assert repr(clone) == repr(net)
+        for p0, p1 in zip(net.params, clone.params, strict=True):
+            assert p0.tobytes() == p1.tobytes()
+        x = np.random.default_rng(32).normal(size=(2, 1) + (patch,) * dim)
+        assert net.forward(x).tobytes() == clone.forward(x).tobytes()
 
 
-def test_weights_golden_bytes(tmp_path):
-    layer = Dense(2, 2, rng=np.random.default_rng(33))
-    layer.weight[...] = [[1.0, 2.0], [3.0, 4.0]]
-    layer.bias[...] = [0.5, -0.5]
-    path = tmp_path / "dense.nhnn"
-    save_network(Network([layer]), path)
-    expected = MAGIC
-    expected += struct.pack("<I", VERSION)
-    expected += struct.pack("<I", 1)
-    expected += struct.pack("<BB", 4, 2)  # dense record, two shape fields
-    expected += struct.pack("<2Q", 2, 2)
-    expected += struct.pack("<B", 0)
-    expected += layer.weight.tobytes() + layer.bias.tobytes()
-    assert path.read_bytes() == expected
+@pytest.mark.parametrize("member", ["architecture", "weights"])
+def test_load_rejects_missing_model_member(tmp_path, member):
+    save_network(build_network(2, 4, 3), tmp_path / "model")
+    (tmp_path / "model" / f"{member}.nhar").unlink()
+    with pytest.raises(FormatError, match=f"{member}.nhar is missing"):
+        load_network(tmp_path / "model")
 
 
 def test_weights_format_errors(tmp_path):
-    net = Network([Dense(2, 2, rng=np.random.default_rng(34))])
-    path = tmp_path / "w.nhnn"
-    save_network(net, path)
-    raw = path.read_bytes()
+    path = tmp_path / "model"
+    save_network(build_network(2, 4, 3), path)
+    weights = read_array(path / "weights.nhar")
 
-    bad_magic = tmp_path / "magic.nhnn"
-    bad_magic.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(FormatError, match="magic"):
-        load_network(bad_magic)
+    write_array(path / "weights.nhar", weights[:-1])
+    with pytest.raises(FormatError, match="weights.nhar has shape"):
+        load_network(path)
+    write_array(path / "weights.nhar", weights)
 
-    bad_version = tmp_path / "version.nhnn"
-    bad_version.write_bytes(raw[:4] + struct.pack("<I", 9) + raw[8:])
-    with pytest.raises(FormatError, match="version"):
-        load_network(bad_version)
-
-    short = tmp_path / "short.nhnn"
-    short.write_bytes(raw[:-8])
-    with pytest.raises(FormatError, match="truncated"):
-        load_network(short)
-
-    long = tmp_path / "long.nhnn"
-    long.write_bytes(raw + b"\x00")
-    with pytest.raises(FormatError, match="trailing"):
-        load_network(long)
-
-    unknown = tmp_path / "kind.nhnn"
-    unknown.write_bytes(
-        MAGIC + struct.pack("<I", VERSION) + struct.pack("<I", 1)
-        + struct.pack("<BB", 9, 0) + struct.pack("<B", 0)
-    )
-    with pytest.raises(FormatError, match="kind"):
-        load_network(unknown)
+    for arch, match in (
+        ([2.0, 4.0, 3.0], "shape"),
+        ([[2.0, 4.0, 3.0, 0.1]], "shape"),
+        ([2.0, 4.5, 3.0, 0.1], "integral"),
+        ([2.0, 4.0, np.inf, 0.1], "integral"),
+        ([4.0, 4.0, 3.0, 0.1], "2 or 3 dimensions"),
+        ([2.0, 4.0, 0.0, 0.1], "output count"),
+        ([2.0, 4.0, 3.0, 1.5], "dropout"),
+    ):
+        write_array(path / "architecture.nhar", arch)
+        with pytest.raises(FormatError, match=match):
+            load_network(path)
 
 
-def test_save_rejects_unknown_layer(tmp_path):
-    class Mystery:
-        params = ()
-        grads = ()
-
-    with pytest.raises(ParameterError):
-        save_network(Network([Mystery()]), tmp_path / "m.nhnn")
+def test_save_rejects_network_not_built(tmp_path):
+    with pytest.raises(ParameterError, match="build_network"):
+        save_network(Network([Dense(2, 2)]), tmp_path / "model")
+    assert not (tmp_path / "model").exists()
