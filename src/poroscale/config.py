@@ -11,7 +11,7 @@ them by bare name (``test1``, ``desk-test1``, ...).
 
 import configparser
 import io
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from importlib import resources
 
 from .dataset import SplitSpec

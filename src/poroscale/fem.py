@@ -14,6 +14,9 @@ Stiffness tensor input uses the symmetric matrix convention of
 :mod:`poroscale.elasticity` (sqrt(2)-weighted shear components); the strain
 operator built here carries the matching weights, so assembled energies
 equal the physical ones.
+
+Every linear solve, by :class:`LUSolver` or by the band Cholesky of
+:mod:`poroscale.homogenize`, passes :func:`check_residual`.
 """
 
 import logging
@@ -340,56 +343,31 @@ def constrain_system(matrix, dofs, values):
 # solvers
 
 
-def _residuals(matrix, x, b):
-    res = matrix @ x - b
-    if b.ndim == 1:
-        scale = np.linalg.norm(b)
-        return np.array([np.linalg.norm(res) / (scale if scale > 0 else 1.0)])
+def check_residual(matrix, x, b, tol):
+    """Raise :class:`NumericError` unless every relative residual of
+    ``matrix @ x = b`` is at most ``tol``; a non-finite one fails."""
     scale = np.linalg.norm(b, axis=0)
-    scale[scale == 0.0] = 1.0
-    return np.linalg.norm(res, axis=0) / scale
+    scale = np.where(scale > 0.0, scale, 1.0)
+    worst = float(np.max(np.linalg.norm(matrix @ x - b, axis=0) / scale))
+    if not worst <= tol:
+        raise NumericError(
+            f"linear solve residual {worst:.3e} exceeds tolerance {tol:.1e}",
+            residual=worst,
+        )
 
 
 class LUSolver:
-    """Reusable sparse LU factorization with a residual check on each solve.
+    """Reusable sparse LU factorization with a residual check on each solve."""
 
-    ``spd=True`` factors in SuperLU's symmetric mode: a minimum-degree
-    ordering of A^T + A and diagonal pivots, which is stable only for
-    symmetric positive definite matrices.
-    """
-
-    def __init__(self, matrix, tol=SOLVE_TOL, spd=False):
-        self.matrix = matrix.tocsc()
-        self.tol = tol
-        options = {}
-        if spd:
-            options = dict(
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
+    def __init__(self, matrix, tol=SOLVE_TOL):
+        self.matrix, self.tol = matrix.tocsc(), tol
         try:
-            self._lu = splu(self.matrix, **options)
+            self._lu = splu(self.matrix)
         except RuntimeError as exc:
             raise NumericError(f"sparse factorization failed: {exc}") from exc
-
-    @property
-    def fill(self):
-        """Stored nonzeros of L and U, as SuperLU counts them.
-
-        Read without copying the factors; dense supernode blocks count in
-        full, so this can exceed nnz(L) + nnz(U) of the extracted factors.
-        """
-        return int(self._lu.nnz)
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
         x = self._lu.solve(rhs)
-        worst = float(_residuals(self.matrix, x, rhs).max())
-        if worst > self.tol:
-            raise NumericError(
-                f"linear solve residual {worst:.3e} exceeds tolerance "
-                f"{self.tol:.1e}",
-                residual=worst,
-            )
+        check_residual(self.matrix, x, rhs, self.tol)
         return x

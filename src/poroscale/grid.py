@@ -10,7 +10,7 @@ so a flat nodal array reshapes to that shape with axis ``i`` following
 coordinate ``x_i``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 

@@ -19,7 +19,10 @@ sparsity pattern of each operator once; a patch's matrix is then a sum of
 reference element matrices weighted by the element coefficient (at fixed
 Poisson ratio the isotropic stiffness is linear in Young's modulus). The
 boundary dofs are eliminated by index: each problem solves
-A_II x_I = -A_IB g, with A_II factored by SuperLU in symmetric mode.
+A_II x_I = -A_IB g. In the natural order of the interior dofs A_II is an
+SPD band matrix of half-bandwidth kd (133 for diffusion, 401 for elasticity
+on a 12^3 patch), which LAPACK's band Cholesky factors in one zeroed buffer
+per solve (``overwrite_ab``), at a cost of order n_I kd^2.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import solveh_banded
 
 from .elasticity import (
     isotropic_stiffness,
@@ -36,8 +40,8 @@ from .elasticity import (
     strain_component_pairs,
     unit_strain_tensor,
 )
-from .errors import ParameterError
-from .fem import SOLVE_TOL, LUSolver, P1Space
+from .errors import NumericError, ParameterError
+from .fem import SOLVE_TOL, P1Space, check_residual
 from .grid import StructuredGrid
 
 
@@ -106,8 +110,9 @@ class CellOperator:
 
     ``A(c) = sum_e c_e K[class(e)]`` is linear in the element coefficient
     ``c``. Its CSC pattern is built once, with an int32 slot for every entry
-    of every element matrix; the blocks A_II and A_IB index into it. Each
-    column of ``data`` holds the boundary values g of one problem.
+    of every element matrix; the blocks A_II and A_IB index into it, as does
+    ``band``, the flat slot of each lower entry of A_II in the Fortran-ordered
+    (kd+1, n_I) band array. Column j of ``data`` holds problem j's values g.
     """
 
     def __init__(self, grid, edofs, local, boundary, data):
@@ -126,7 +131,7 @@ class CellOperator:
         ]
         self.pattern = (keys % n, np.searchsorted(keys, np.arange(n + 1) * n))
         self.interior = np.setdiff1d(np.arange(n), boundary)
-        self.boundary, self.data, self.factor_fill = boundary, data, 0
+        self.boundary, self.data = boundary, data
         positions = sparse.csc_matrix(
             (np.arange(1.0, keys.size + 1), *self.pattern), shape=(n, n)
         )[self.interior]
@@ -134,6 +139,14 @@ class CellOperator:
             (b.data.astype(np.int64) - 1, b.indices, b.indptr, b.shape)
             for b in (positions[:, cols] for cols in (self.interior, boundary))
         ]
+        pos, rows, indptr, (n_i, _) = self.blocks[0]
+        cols = np.repeat(np.arange(n_i), np.diff(indptr))
+        lower = rows >= cols
+        self.kd = int((rows - cols).max(initial=0))
+        # a[i, j] with i >= j sits at ab[i - j, j], in column-major order; in
+        # lower storage LAPACK's column updates run on contiguous memory
+        self.band = (pos[lower], (rows + self.kd * cols)[lower].astype(np.int32))
+        self.factor_fill = (self.kd + 1) * n_i
 
     def solve(self, coeff, tol):
         """Solutions of all problems, (n, n_problems), and the full matrix."""
@@ -145,13 +158,21 @@ class CellOperator:
             sparse.csc_matrix((values[pos], indices, indptr), shape)
             for pos, indices, indptr, shape in self.blocks
         )
-        solver = LUSolver(A_ii, tol, spd=True)
-        # with diagonal pivots every solve has the same factor pattern
-        self.factor_fill = self.factor_fill or solver.fill
+        # in Fortran order LAPACK factors ab in place, without a copy
+        ab = np.zeros((self.kd + 1, self.interior.size), order="F")
+        ab.ravel("F")[self.band[1]] = values[self.band[0]]
+        rhs = -(A_ib @ self.data)
+        try:
+            xi = solveh_banded(
+                ab, rhs, overwrite_ab=True, lower=True, check_finite=False
+            )
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"band Cholesky of A_II failed: {exc}") from exc
+        check_residual(A_ii, xi, rhs, tol)
         n = self.pattern[1].size - 1
         x = np.empty((n, self.data.shape[1]))
         x[self.boundary] = self.data
-        x[self.interior] = solver.solve(-(A_ib @ self.data))
+        x[self.interior] = xi
         return x, sparse.csc_matrix((values, *self.pattern), shape=(n, n))
 
 

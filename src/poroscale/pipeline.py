@@ -203,7 +203,7 @@ def homogenize_stage(config, layout):
     """Direct local solves: effective tensors for every realization.
 
     One :class:`PatchEngine` serves every realization; the timing file
-    records its setup time and the summed factor fill of each target.
+    records its setup time and each target's bandwidth and summed fill.
     """
     grid = StructuredGrid(config.fine_cells)
     layout.dir("tensors")
@@ -233,8 +233,9 @@ def homogenize_stage(config, layout):
             "total_s": total,
             "per_realization_s": per_realization,
             "engine_setup_s": setup,
-            # summed over all cell problems, which share one factor pattern
-            "lu_fill": {t: op.factor_fill * n_solves for t, op in operators.items()},
+            # stored band entries, summed over all cell problems
+            "factor_fill": {t: o.factor_fill * n_solves for t, o in operators.items()},
+            "bandwidth": {t: o.kd for t, o in operators.items()},
         },
     )
     return {"n_realizations": len(per_realization), "total_s": total}

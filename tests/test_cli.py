@@ -221,8 +221,9 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
     assert "x76 to x289" in summary
     homogenize = json.loads(layout.timing_path("homogenize").read_text("utf-8"))
     assert homogenize["engine_setup_s"] > 0.0
-    assert set(homogenize["lu_fill"]) == {"permeability", "elasticity"}
-    assert min(homogenize["lu_fill"].values()) > 0
+    for key in ("factor_fill", "bandwidth"):
+        assert set(homogenize[key]) == {"permeability", "elasticity"}
+        assert min(homogenize[key].values()) > 0
     assert layout.timing_path("build-dataset").exists()
     evaluate = json.loads(layout.timing_path("evaluate").read_text("utf-8"))
     assert set(evaluate["per_target_s"]) == {"permeability", "elasticity"}

@@ -178,9 +178,14 @@ def test_laplace_second_order_convergence():
 
 def test_lusolver_singular_matrix_raises():
     A = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    for spd in (False, True):
-        with pytest.raises(NumericError):
-            LUSolver(A, spd=spd).solve(np.array([1.0, 0.0]))
+    with pytest.raises(NumericError):
+        LUSolver(A).solve(np.array([1.0, 0.0]))
+
+
+def test_lusolver_rejects_non_finite_residual():
+    solver = LUSolver(sparse.diags([2.0, 1.0]))
+    with pytest.raises(NumericError):
+        solver.solve(np.array([np.nan, 1.0]))
 
 
 def test_lusolver_reuse():
@@ -188,12 +193,11 @@ def test_lusolver_reuse():
     n = 30
     Q = rng.normal(size=(n, n))
     A = sparse.csr_matrix(Q @ Q.T + n * np.eye(n))
-    for spd in (False, True):
-        solver = LUSolver(A, spd=spd)
-        for _ in range(4):
-            b = rng.normal(size=n)
-            x = solver.solve(b)
-            assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
+    solver = LUSolver(A)
+    for _ in range(4):
+        b = rng.normal(size=n)
+        x = solver.solve(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
 def test_dirichlet_elimination_exactness():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from poroscale.elasticity import (
     isotropic_stiffness,
@@ -10,7 +11,7 @@ from poroscale.elasticity import (
     strain_component_pairs,
     unit_strain_tensor,
 )
-from poroscale.errors import ParameterError
+from poroscale.errors import NumericError, ParameterError
 from poroscale.fem import LUSolver, P1Space, constrain_system
 from poroscale.grid import StructuredGrid
 from poroscale.homogenize import (
@@ -239,10 +240,12 @@ def reference_permeability(space, k, where):
     grid = space.grid
     A = space.assemble_diffusion(k, where=where)
     bnodes = grid.all_boundary_nodes()
-    psi = np.empty((grid.n_nodes, grid.dimension))
+    rhs = np.empty((grid.n_nodes, grid.dimension))
     for j in range(grid.dimension):
+        # the reduced matrix does not depend on the prescribed values
         reduced, fold = constrain_system(A, bnodes, grid.node_coords[bnodes, j])
-        psi[:, j] = LUSolver(reduced, SOLVE_TOL).solve(fold(np.zeros(grid.n_nodes)))
+        rhs[:, j] = fold(np.zeros(grid.n_nodes))
+    psi = LUSolver(reduced, SOLVE_TOL).solve(rhs)
     grads = space.class_gradients[grid.element_class]
     gpsi = np.einsum("eia,eil->eal", grads, psi[grid.elements])
     k_e = space.element_values(k, where=where)
@@ -259,11 +262,12 @@ def reference_elasticity(space, young, eta, where):
     bnodes = grid.all_boundary_nodes()
     vdofs = (bnodes[:, None] * d + np.arange(d)).reshape(-1)
     pairs = strain_component_pairs(d)
-    phi = np.empty((grid.n_nodes * d, len(pairs)))
+    rhs = np.empty((grid.n_nodes * d, len(pairs)))
     for I, pair in enumerate(pairs):
         values = (grid.node_coords[bnodes] @ unit_strain_tensor(pair, d).T).ravel()
         reduced, fold = constrain_system(A, vdofs, values)
-        phi[:, I] = LUSolver(reduced, SOLVE_TOL).solve(fold(np.zeros(A.shape[0])))
+        rhs[:, I] = fold(np.zeros(A.shape[0]))
+    phi = LUSolver(reduced, SOLVE_TOL).solve(rhs)
     w = mandel_weights(d)
     raw = np.outer(w, w) * (phi.T @ (A @ phi))  # the unit cube has volume 1
     return 0.5 * (raw + raw.T)
@@ -271,7 +275,8 @@ def reference_elasticity(space, young, eta, where):
 
 @pytest.mark.parametrize("where", ["node", "element"])
 @pytest.mark.parametrize("kind", ["lognormal", "affine"])
-@pytest.mark.parametrize("cells", [(8, 8), (4, 4, 4)])
+# the last two are the patch grids of the test1/test2 and test3 presets
+@pytest.mark.parametrize("cells", [(8, 8), (4, 4, 4), (32, 32), (12, 12, 12)])
 def test_engine_matches_full_assembly_reference(cells, kind, where):
     grid = StructuredGrid(cells)
     space = P1Space(grid)
@@ -311,3 +316,45 @@ def test_engine_reuse_is_bit_identical(cells):
         tensors(shared, i)
     for after, alone in zip(tensors(shared, 3), tensors(PatchEngine(grid), 3)):
         assert np.array_equal(after, alone)
+
+
+@pytest.mark.parametrize("cells", [(4, 4), (3, 3, 3)])
+@pytest.mark.parametrize("sign", ["indefinite", "singular"])
+def test_band_solve_rejects_matrix_without_cholesky(cells, sign):
+    engine = PatchEngine(StructuredGrid(cells))
+    n_elem = engine.grid.elements.shape[0]
+    coeff = np.ones(n_elem)
+    if sign == "indefinite":
+        coeff[: n_elem // 2] = -1.0
+    else:
+        coeff[:] = 0.0
+    for op in (engine.diffusion, engine.elasticity(0.3)):
+        with pytest.raises(NumericError):
+            op.solve(coeff, SOLVE_TOL)
+
+
+def test_band_solve_rejects_non_finite_residual():
+    engine = PatchEngine(StructuredGrid((4, 4)))
+    op = engine.diffusion
+    op.data = np.full_like(op.data, np.nan)
+    with pytest.raises(NumericError):
+        op.solve(np.ones(engine.grid.elements.shape[0]), SOLVE_TOL)
+
+
+@pytest.mark.parametrize("cells", [(1, 1), (4, 4), (2, 3, 2)])
+def test_band_layout(cells):
+    grid = StructuredGrid(cells)
+    op = PatchEngine(grid).diffusion
+    # at a constant coefficient the solutions are the affine boundary data
+    x, _ = op.solve(np.ones(grid.elements.shape[0]), SOLVE_TOL)
+    assert np.allclose(x, grid.node_coords, atol=1e-12)
+    dense = np.zeros((op.interior.size,) * 2)
+    ab = np.zeros((op.kd + 1, op.interior.size), order="F")
+    ab.ravel("F")[op.band[1]] = 1.0
+    for j in range(op.interior.size):
+        for i in range(j, min(j + op.kd + 1, op.interior.size)):
+            dense[i, j] = dense[j, i] = ab[i - j, j]
+    pos, indices, indptr, shape = op.blocks[0]
+    pattern = sparse.csc_matrix((np.ones(pos.size), indices, indptr), shape)
+    assert np.array_equal(dense != 0.0, pattern.toarray() != 0.0)
+    assert op.factor_fill == (op.kd + 1) * op.interior.size
