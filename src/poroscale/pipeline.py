@@ -21,6 +21,7 @@ Layout inside the run directory:
     report/errors.csv, report/summary.txt
 """
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -49,8 +50,6 @@ from .homogenize import (
 from .poro import PoroState, error_norms, solve_coarse, solve_poroelasticity
 from .random_field import PropertyFields, build_kl_basis, field_to_properties, sample_field
 from .surrogate import (
-    AdamConfig,
-    TrainConfig,
     build_network,
     evaluate,
     load_network,
@@ -281,14 +280,9 @@ def train_stage(config, layout):
             dropout=config.train.dropout,
             seed=config.train.seed,
         )
-        run_cfg = TrainConfig(
-            epochs=config.train.epochs,
-            batch_size=config.batch_size(),
-            adam=AdamConfig(learning_rate=config.train.learning_rate),
-            seed=config.train.seed,
-        )
+        settings = dataclasses.replace(config.train, batch_size=config.batch_size())
         t0 = time.perf_counter()
-        history = train(network, parts["train"], parts["val"], run_cfg)
+        history = train(network, parts["train"], parts["val"], settings)
         times[target] = time.perf_counter() - t0
         save_network(network, layout.model_path(target))
         _loss_csv(history, layout.loss_path(target))

@@ -3,7 +3,6 @@
 from .layers import Conv, Dense, Dropout, Flatten, MaxPool, ReLU
 from .network import (
     Adam,
-    AdamConfig,
     Network,
     build_network,
     load_network,
@@ -21,7 +20,6 @@ from .training import (
 
 __all__ = [
     "Adam",
-    "AdamConfig",
     "Conv",
     "Dense",
     "Dropout",

@@ -21,8 +21,6 @@ its parameters, so only networks that ``build_network`` made can be
 saved. Optimizer state and the initialization seed are not stored.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..arrayio import read_member, write_members
@@ -33,6 +31,10 @@ HIDDEN_WIDTH = 512
 FILTERS_2D = (8, 16, 32, 64)
 FILTERS_3D = (16, 32)
 DEFAULT_DROPOUT = 0.1
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 # samples per forward pass of Network.predict
 INFERENCE_CHUNK = 64
 
@@ -133,44 +135,29 @@ def build_network(dim, patch, n_out, dropout=DEFAULT_DROPOUT, seed=0):
     return Network(layers, architecture=(dim, patch, n_out, dropout))
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParameterError("learning rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ParameterError("moment decay rates must lie in [0, 1)")
-
-
 class Adam:
     """Bias-corrected first/second-moment updates applied in place."""
 
-    def __init__(self, network, config=AdamConfig()):
+    def __init__(self, network, learning_rate):
         self.network = network
-        self.config = config
+        self.learning_rate = learning_rate
         self.first = [np.zeros_like(p) for p in network.params]
         self.second = [np.zeros_like(p) for p in network.params]
         self.step_count = 0
 
     def step(self):
-        cfg = self.config
         self.step_count += 1
-        correct1 = 1.0 - cfg.beta1**self.step_count
-        correct2 = 1.0 - cfg.beta2**self.step_count
+        correct1 = 1.0 - ADAM_BETA1**self.step_count
+        correct2 = 1.0 - ADAM_BETA2**self.step_count
         for p, g, m, v in zip(
             self.network.params, self.network.grads, self.first, self.second
         ):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= cfg.learning_rate * (m / correct1) / (
-                np.sqrt(v / correct2) + cfg.epsilon
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= self.learning_rate * (m / correct1) / (
+                np.sqrt(v / correct2) + ADAM_EPSILON
             )
 
 

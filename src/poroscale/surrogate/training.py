@@ -19,7 +19,7 @@ import numpy as np
 from ..dataset import TARGET_PERMEABILITY
 from ..elasticity import from_upper_triangle, n_strain_components
 from ..errors import NumericError, ParameterError
-from .network import Adam, AdamConfig
+from .network import DEFAULT_DROPOUT, Adam
 
 logger = logging.getLogger(__name__)
 
@@ -28,16 +28,26 @@ SPD_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings; batch_size 0 means one coarse-cell count.
+
+    ``train`` needs a resolved batch size of at least 1; the pipeline
+    resolves 0 through ``PipelineConfig.batch_size``. ``dropout`` and
+    ``seed`` also set up the network in ``build_network``.
+    """
+
     epochs: int = 100
-    batch_size: int = 64
-    adam: AdamConfig = AdamConfig()
-    seed: int = 0
+    batch_size: int = 0
+    learning_rate: float = 1e-3
+    dropout: float = DEFAULT_DROPOUT
+    seed: int = 1
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ParameterError("epoch count must be nonnegative")
-        if self.batch_size < 1:
-            raise ParameterError("batch size must be positive")
+        if self.batch_size < 0:
+            raise ParameterError("batch size must be nonnegative")
+        if self.learning_rate <= 0:
+            raise ParameterError("learning rate must be positive")
 
 
 def _batched_input(dataset):
@@ -45,20 +55,22 @@ def _batched_input(dataset):
     return dataset.X[:, None, ...]
 
 
-def train(network, train_set, val_set, config=TrainConfig()):
+def train(network, train_set, val_set, config):
     """Run the optimization loop; returns history rows (epoch, train, val).
 
     One generator seeded by ``config.seed`` drives both the per-epoch
     shuffles and the dropout masks, so a rerun with identical inputs and
     configuration reproduces the weights bit for bit.
     """
+    if config.batch_size < 1:
+        raise ParameterError("training needs a batch size of at least 1")
     x_train = _batched_input(train_set)
     y_train = train_set.Y
     x_val = _batched_input(val_set)
     y_val = val_set.Y
     total = x_train.shape[0]
     rng = np.random.default_rng(config.seed)
-    adam = Adam(network, config.adam)
+    adam = Adam(network, config.learning_rate)
     history = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(total)

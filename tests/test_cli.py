@@ -11,16 +11,23 @@ from poroscale.arrayio import read_array
 from poroscale.cli import build_parser, main, resolve_config
 from poroscale.config import (
     PRESET_NAMES,
+    SCHEMA,
     PipelineConfig,
-    TrainSettings,
     config_from_text,
     config_to_text,
     load_config,
     load_preset,
-    save_config,
 )
+from poroscale.dataset import SplitSpec
 from poroscale.errors import ParameterError
 from poroscale.pipeline import RunLayout
+from poroscale.poro import PoroConstants, TimeSteppingConfig
+from poroscale.random_field import CovarianceSpec, PropertyParams
+from poroscale.surrogate import TrainConfig
+
+
+def save_config(config, path):
+    path.write_text(config_to_text(config), encoding="utf-8")
 
 
 def test_round_trip_is_a_fixed_point(tmp_path):
@@ -105,6 +112,94 @@ def test_malformed_text_and_missing_pieces():
         config_from_text(base.replace("[32, 32]", "[]"))
 
 
+def test_unknown_sections_and_keys_are_named():
+    base = config_to_text(load_preset("desk-mini"))
+    with pytest.raises(ParameterError, match=r"train\.epoch\b"):
+        config_from_text(base.replace("epochs = 2", "epoch = 5"))
+    text = base.replace("[poro]", "[poro]\nnu = 1.0") + "\n[trian]\nepochs = 5\n"
+    with pytest.raises(ParameterError) as info:
+        config_from_text(text)
+    assert "poro.nu" in str(info.value) and "[trian]" in str(info.value)
+
+
+def test_percent_values_are_literal(tmp_path):
+    config = dataclasses.replace(
+        load_preset("desk-mini"), name="100% %(workdir)s", workdir="runs/100%"
+    )
+    text = config_to_text(config)
+    assert "name = 100% %(workdir)s\n" in text
+    assert config_from_text(text) == config
+    path = tmp_path / "run.cfg"
+    save_config(config, path)
+    assert resolve_config(parse(["report", "--config", str(path)])) == config
+
+
+REQUIRED_KEYS = [
+    ("run", "name"),
+    ("run", "workdir"),
+    ("run", "n_realizations"),
+    ("run", "n_test_realizations"),
+    ("domain", "fine_cells"),
+    ("domain", "coarse_cells"),
+    ("field", "sigma2"),
+    ("field", "l2"),
+    ("field", "seed_base"),
+]
+
+
+def _leaf_fields(cls, prefix=""):
+    for field in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(field.type):
+            yield from _leaf_fields(field.type, f"{prefix}{field.name}.")
+        else:
+            yield prefix + field.name, field
+
+
+def test_schema_covers_every_field_once():
+    leaves = dict(_leaf_fields(PipelineConfig))
+    assert sorted(path for _, _, path, _ in SCHEMA) == sorted(leaves)
+    assert len({(section, key) for section, key, _, _ in SCHEMA}) == len(SCHEMA)
+    required = [
+        (section, key)
+        for section, key, path, _ in SCHEMA
+        if leaves[path].default is dataclasses.MISSING
+    ]
+    assert required == REQUIRED_KEYS
+
+
+def test_required_keys_alone_load_to_defaults():
+    text = (
+        "[run]\nname = x\nworkdir = w\nn_realizations = 2\nn_test_realizations = 1\n"
+        "[domain]\nfine_cells = [32, 32]\ncoarse_cells = [4, 4]\n"
+        "[field]\nsigma2 = 2.0\nl2 = [0.2, 0.2]\nseed_base = 7\n"
+        "[poro]\n[train]\n"
+    )
+    assert config_from_text(text) == PipelineConfig(
+        name="x",
+        workdir="w",
+        n_realizations=2,
+        n_test_realizations=1,
+        fine_cells=(32, 32),
+        coarse_cells=(4, 4),
+        field=CovarianceSpec(sigma2=2.0, length_sq=(0.2, 0.2)),
+        seed_base=7,
+        props=PropertyParams(),
+        constants=PoroConstants(),
+        stepping=TimeSteppingConfig(),
+        train=TrainConfig(),
+        split=SplitSpec(),
+    )
+
+
+@pytest.mark.parametrize("section,key", REQUIRED_KEYS)
+def test_each_required_key_is_named_when_missing(section, key):
+    base = config_to_text(load_preset("desk-mini"))
+    text = base.replace(f"\n{key} = ", f"\n# {key} = ", 1)
+    assert text != base
+    with pytest.raises(ParameterError, match=rf"misses {section}\.{key}\b"):
+        config_from_text(text)
+
+
 def test_config_validation():
     config = load_preset("desk-mini")
     with pytest.raises(ParameterError, match="realization"):
@@ -116,9 +211,9 @@ def test_config_validation():
     with pytest.raises(ParameterError, match="length"):
         dataclasses.replace(config, fine_cells=(32,), coarse_cells=(4,))
     with pytest.raises(ParameterError):
-        TrainSettings(epochs=-1)
+        TrainConfig(epochs=-1)
     with pytest.raises(ParameterError):
-        TrainSettings(learning_rate=0.0)
+        TrainConfig(learning_rate=0.0)
 
 
 def parse(argv):

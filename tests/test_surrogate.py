@@ -9,7 +9,6 @@ from poroscale.dataset import TARGET_PERMEABILITY, Dataset, Scaler
 from poroscale.errors import FormatError, NumericError, ParameterError
 from poroscale.surrogate import (
     Adam,
-    AdamConfig,
     Conv,
     Dense,
     Dropout,
@@ -29,6 +28,7 @@ from poroscale.surrogate import (
 )
 from poroscale.surrogate.layers import he_uniform
 from poroscale.surrogate.network import (
+    ADAM_EPSILON,
     FILTERS_2D,
     FILTERS_3D,
     HIDDEN_WIDTH,
@@ -406,7 +406,7 @@ def test_build_network_rejects_bad_setup():
 
 
 def test_adam_first_step_is_normalized_gradient():
-    cfg = AdamConfig(learning_rate=0.01)
+    lr = 0.01
     layer = Dense(3, 2, rng=np.random.default_rng(19))
     net = Network([layer])
     before = [p.copy() for p in net.params]
@@ -414,11 +414,11 @@ def test_adam_first_step_is_normalized_gradient():
     g_b = np.array([2.0, -1.0])
     layer.grads[0][...] = g_w
     layer.grads[1][...] = g_b
-    adam = Adam(net, cfg)
+    adam = Adam(net, lr)
     adam.step()
     # zero moments make the first step lr * g / (|g| + eps)
     for p0, p1, g in zip(before, net.params, (g_w, g_b)):
-        want = cfg.learning_rate * g / (np.abs(g) + cfg.epsilon)
+        want = lr * g / (np.abs(g) + ADAM_EPSILON)
         np.testing.assert_allclose(p0 - p1, want, atol=1e-15)
 
 
@@ -426,22 +426,13 @@ def test_adam_minimizes_quadratic():
     layer = Dense(2, 2, rng=np.random.default_rng(20))
     net = Network([layer])
     target = np.array([[1.0, -2.0], [0.5, 3.0]])
-    adam = Adam(net, AdamConfig(learning_rate=0.05))
+    adam = Adam(net, 0.05)
     start = float(np.sum((layer.weight - target) ** 2))
     for _ in range(500):
         layer.grads[0][...] = 2.0 * (layer.weight - target)
         layer.grads[1][...] = 0.0
         adam.step()
     assert float(np.sum((layer.weight - target) ** 2)) < 1e-6 * start
-
-
-def test_adam_config_validation():
-    with pytest.raises(ParameterError):
-        AdamConfig(learning_rate=0.0)
-    with pytest.raises(ParameterError):
-        AdamConfig(beta1=1.0)
-    with pytest.raises(ParameterError):
-        AdamConfig(beta2=-0.1)
 
 
 def synthetic_dataset(n=80, patch=8, seed=21):
@@ -502,7 +493,7 @@ def test_zero_epochs_leaves_weights_alone():
     net = build_network(2, 8, 3, seed=25)
     before = [p.copy() for p in net.params]
     history = train(net, ds.subset(np.arange(8)), ds.subset(np.arange(8, 12)),
-                    TrainConfig(epochs=0))
+                    TrainConfig(epochs=0, batch_size=64))
     assert history == []
     for p0, p1 in zip(before, net.params):
         np.testing.assert_array_equal(p0, p1)
@@ -512,7 +503,7 @@ def test_divergence_raises():
     ds = synthetic_dataset(n=12)
     net = build_network(2, 8, 3, seed=26)
     # the update magnitude is capped near lr, so it must dwarf float range
-    cfg = TrainConfig(epochs=5, batch_size=4, adam=AdamConfig(learning_rate=1e200))
+    cfg = TrainConfig(epochs=5, batch_size=4, learning_rate=1e200)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError):
             train(net, ds.subset(np.arange(8)), ds.subset(np.arange(8, 12)), cfg)
@@ -522,7 +513,15 @@ def test_train_config_validation():
     with pytest.raises(ParameterError):
         TrainConfig(epochs=-1)
     with pytest.raises(ParameterError):
-        TrainConfig(batch_size=0)
+        TrainConfig(batch_size=-1)
+    with pytest.raises(ParameterError):
+        TrainConfig(learning_rate=0.0)
+    ds = synthetic_dataset(n=12)
+    net = build_network(2, 8, 3, seed=27)
+    # 0 (one coarse-cell count) must be resolved before training
+    with pytest.raises(ParameterError, match="batch size"):
+        train(net, ds.subset(np.arange(8)), ds.subset(np.arange(8, 12)),
+              TrainConfig(batch_size=0))
 
 
 def test_metric_anchor_values():
