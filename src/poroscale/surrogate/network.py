@@ -139,6 +139,8 @@ class Adam:
     """Bias-corrected first/second-moment updates applied in place."""
 
     def __init__(self, network, learning_rate):
+        if not learning_rate > 0:
+            raise ParameterError("learning rate must be positive")
         self.network = network
         self.learning_rate = learning_rate
         self.first = [np.zeros_like(p) for p in network.params]

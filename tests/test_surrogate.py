@@ -28,6 +28,8 @@ from poroscale.surrogate import (
 )
 from poroscale.surrogate.layers import he_uniform
 from poroscale.surrogate.network import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPSILON,
     FILTERS_2D,
     FILTERS_3D,
@@ -433,6 +435,16 @@ def test_adam_minimizes_quadratic():
         layer.grads[1][...] = 0.0
         adam.step()
     assert float(np.sum((layer.weight - target) ** 2)) < 1e-6 * start
+
+
+def test_adam_config_validation():
+    net = Network([Dense(2, 2, rng=np.random.default_rng(21))])
+    for lr in (0.0, -0.1, np.nan):
+        with pytest.raises(ParameterError, match="learning rate"):
+            Adam(net, lr)
+    # the moment decay rates and epsilon are fixed, not options
+    assert 0 <= ADAM_BETA1 < 1 and 0 <= ADAM_BETA2 < 1
+    assert ADAM_EPSILON > 0
 
 
 def synthetic_dataset(n=80, patch=8, seed=21):
