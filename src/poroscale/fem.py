@@ -343,15 +343,15 @@ def constrain_system(matrix, dofs, values):
 # solvers
 
 
-def check_residual(matrix, x, b, tol):
+def check_residual(matrix, x, b):
     """Raise :class:`NumericError` unless every relative residual of
-    ``matrix @ x = b`` is at most ``tol``; a non-finite one fails."""
+    ``matrix @ x = b`` is at most ``SOLVE_TOL``; a non-finite one fails."""
     scale = np.linalg.norm(b, axis=0)
     scale = np.where(scale > 0.0, scale, 1.0)
     worst = float(np.max(np.linalg.norm(matrix @ x - b, axis=0) / scale))
-    if not worst <= tol:
+    if not worst <= SOLVE_TOL:
         raise NumericError(
-            f"linear solve residual {worst:.3e} exceeds tolerance {tol:.1e}",
+            f"linear solve residual {worst:.3e} exceeds tolerance {SOLVE_TOL:.1e}",
             residual=worst,
         )
 
@@ -359,8 +359,8 @@ def check_residual(matrix, x, b, tol):
 class LUSolver:
     """Reusable sparse LU factorization with a residual check on each solve."""
 
-    def __init__(self, matrix, tol=SOLVE_TOL):
-        self.matrix, self.tol = matrix.tocsc(), tol
+    def __init__(self, matrix):
+        self.matrix = matrix.tocsc()
         try:
             self._lu = splu(self.matrix)
         except RuntimeError as exc:
@@ -369,5 +369,5 @@ class LUSolver:
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
         x = self._lu.solve(rhs)
-        check_residual(self.matrix, x, rhs, self.tol)
+        check_residual(self.matrix, x, rhs)
         return x

@@ -41,7 +41,7 @@ from .elasticity import (
     unit_strain_tensor,
 )
 from .errors import NumericError, ParameterError
-from .fem import SOLVE_TOL, P1Space, check_residual
+from .fem import P1Space, check_residual
 from .grid import StructuredGrid
 
 
@@ -148,7 +148,7 @@ class CellOperator:
         self.band = (pos[lower], (rows + self.kd * cols)[lower].astype(np.int32))
         self.factor_fill = (self.kd + 1) * n_i
 
-    def solve(self, coeff, tol):
+    def solve(self, coeff):
         """Solutions of all problems, (n, n_problems), and the full matrix."""
         values = np.zeros(self.pattern[0].size)
         for elems, slots, k in self.classes:
@@ -168,7 +168,7 @@ class CellOperator:
             )
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"band Cholesky of A_II failed: {exc}") from exc
-        check_residual(A_ii, xi, rhs, tol)
+        check_residual(A_ii, xi, rhs)
         n = self.pattern[1].size - 1
         x = np.empty((n, self.data.shape[1]))
         x[self.boundary] = self.data
@@ -222,9 +222,7 @@ def _engine(space):
     return space if isinstance(space, PatchEngine) else PatchEngine(space.grid)
 
 
-def effective_permeability(
-    space, perm, tol=SOLVE_TOL, with_asymmetry=False, where="node"
-):
+def effective_permeability(space, perm, with_asymmetry=False, where="node"):
     """Symmetrized effective permeability of one patch, (d, d).
 
     ``space`` may be a :class:`PatchEngine` to reuse. ``where='element'``
@@ -236,7 +234,7 @@ def effective_permeability(
     k_e = engine.element_values(perm, where=where)
     if np.any(k_e <= 0.0):
         raise ParameterError("diffusion coefficient must be positive")
-    psi, _ = engine.diffusion.solve(k_e, tol)
+    psi, _ = engine.diffusion.solve(k_e)
 
     grads = engine.class_gradients[grid.element_class]
     # per-element gradient of each solution: (n_elem, d components, d problems)
@@ -249,9 +247,7 @@ def effective_permeability(
     return kstar
 
 
-def effective_elasticity(
-    space, young, eta, tol=SOLVE_TOL, with_asymmetry=False, where="node"
-):
+def effective_elasticity(space, young, eta, with_asymmetry=False, where="node"):
     """Effective stiffness matrix of one patch, (m, m), sqrt(2) convention.
 
     ``space`` may be a :class:`PatchEngine` to reuse.
@@ -260,7 +256,7 @@ def effective_elasticity(
     grid = engine.grid
     young_e = engine.element_values(young, where=where)
     lame_parameters(young_e, eta)  # validates E > 0 and the Poisson ratio
-    phi, stiffness = engine.elasticity(eta).solve(young_e, tol)
+    phi, stiffness = engine.elasticity(eta).solve(young_e)
 
     volume = grid.element_volume * grid.elements.shape[0]
     energy = phi.T @ (stiffness @ phi) / volume
@@ -285,9 +281,7 @@ class EffectiveTensors:
         return self.perm.shape[0]
 
 
-def homogenize_domain(
-    fine_grid, coarse_cells, fields, threads=1, tol=SOLVE_TOL, engine=None
-):
+def homogenize_domain(fine_grid, coarse_cells, fields, threads=1, engine=None):
     """Effective tensors of every coarse cell.
 
     ``threads`` > 1 distributes patches over a thread pool; results are
@@ -306,8 +300,8 @@ def homogenize_domain(
 
     def solve(patch):
         return (
-            effective_permeability(engine, patch.perm, tol),
-            effective_elasticity(engine, patch.young, patch.eta, tol),
+            effective_permeability(engine, patch.perm),
+            effective_elasticity(engine, patch.young, patch.eta),
         )
 
     if threads and threads > 1:

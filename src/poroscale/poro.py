@@ -10,6 +10,15 @@ where Mm is the storage mass matrix (1/M_biot), B the mobility stiffness
 the Biot coefficient. Global unknown layout: pressure nodes first, then
 displacements node-major.
 
+Every solve uses one boundary setup: displacement component i is fixed at
+0 on the face x_i = 0 (rollers on left, bottom and, in 3D, back), the
+pressure is p1 on the top face x_2 = 1, and every other face is natural
+(zero flux, zero traction). The state at t = 0 is p = p0 and u = 0: the
+displacement data are zero and p0 is uniform, so the elasticity equation
+A u = -G p0 has the solution u = 0 (G maps a constant pressure to zero up
+to round-off). Each solve therefore constrains and factors one matrix,
+the block system, and reuses the factorization for every step.
+
 The same marcher serves the fine grid (isotropic stiffness from nodal
 properties) and the coarse grid (general per-cell effective tensors);
 relative L2 and energy error norms compare the two at matching times.
@@ -18,10 +27,11 @@ relative L2 and energy error norms compare the two at matching times.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .elasticity import isotropic_stiffness, n_strain_components
 from .errors import ParameterError
-from .fem import SOLVE_TOL, LUSolver, P1Space, constrain_system
+from .fem import LUSolver, P1Space, constrain_system
 from .grid import StructuredGrid
 
 
@@ -86,66 +96,26 @@ class ErrorReport:
         )
 
 
-@dataclass(frozen=True)
-class BoundaryCondition:
-    """Fixed pressure on a face, or one fixed displacement component.
+def _fixed_dofs(grid, p1):
+    """Constrained dofs and values of the one boundary setup.
 
-    ``kind`` is 'pressure' or 'displacement'; ``component`` names the fixed
-    displacement axis and must be None for pressure. Unlisted faces are
-    natural (zero flux / zero traction).
+    Displacement component i is 0 on the face x_i = 0 (left, bottom, back);
+    the pressure is ``p1`` on the top face.
     """
-
-    kind: str
-    face: str
-    value: float
-    component: int = None
-
-
-def standard_bcs(d, p1=1.0):
-    """Rollers on the coordinate planes, inlet pressure on the top face.
-
-    Displacement is fixed normal to x1=0, x2=0 (and x3=0 in 3D); pressure
-    is prescribed at ``p1`` on the x2=1 face; everything else is natural.
-    """
-    bcs = [
-        BoundaryCondition("displacement", "left", 0.0, component=0),
-        BoundaryCondition("displacement", "bottom", 0.0, component=1),
+    d, n_p = grid.dimension, grid.n_nodes
+    rollers = [
+        n_p + grid.boundary_nodes(face) * d + i
+        for i, face in enumerate(("left", "bottom", "back")[:d])
     ]
-    if d == 3:
-        bcs.append(BoundaryCondition("displacement", "back", 0.0, component=2))
-    bcs.append(BoundaryCondition("pressure", "top", p1))
-    return bcs
+    inlet = grid.boundary_nodes("top")
+    dofs = np.concatenate([*rollers, inlet])
+    values = np.zeros(dofs.size)
+    values[-inlet.size:] = p1
+    return dofs, values
 
 
-def _bc_dofs(grid, bcs):
-    """Global constrained dofs and values in listing order (last wins)."""
-    d = grid.dimension
-    n_p = grid.n_nodes
-    dofs, values = [], []
-    for bc in bcs:
-        nodes = grid.boundary_nodes(bc.face)
-        if bc.kind == "pressure":
-            if bc.component is not None:
-                raise ParameterError("pressure conditions take no component")
-            dofs.append(nodes)
-        elif bc.kind == "displacement":
-            if bc.component is None or not 0 <= bc.component < d:
-                raise ParameterError(
-                    f"displacement condition needs a component in 0..{d - 1}"
-                )
-            dofs.append(n_p + nodes * d + bc.component)
-        else:
-            raise ParameterError(f"unknown boundary condition kind {bc.kind!r}")
-        values.append(np.full(nodes.shape[0], float(bc.value)))
-    if not dofs:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    return np.concatenate(dofs), np.concatenate(values)
-
-
-def _march(grid, space, mobility_B, stiffness_A, constants, ts, bcs, tol):
+def _march(grid, space, mobility_B, stiffness_A, constants, ts):
     """Shared implicit stepping loop; returns states at t=0, tau, ..., t_max."""
-    from scipy import sparse
-
     n_p = grid.n_nodes
     d = grid.dimension
     tau = ts.tau
@@ -155,9 +125,8 @@ def _march(grid, space, mobility_B, stiffness_A, constants, ts, bcs, tol):
     system = sparse.bmat(
         [[Mm / tau + mobility_B, D_pu / tau], [G_up, stiffness_A]], format="csr"
     )
-    dofs, values = _bc_dofs(grid, bcs)
-    reduced, fold = constrain_system(system, dofs, values)
-    solver = LUSolver(reduced, tol)
+    reduced, fold = constrain_system(system, *_fixed_dofs(grid, ts.p1))
+    solver = LUSolver(reduced)
 
     if constants.source != 0.0:
         F = constants.source * (space.assemble_mass(1.0) @ np.ones(n_p))
@@ -165,11 +134,8 @@ def _march(grid, space, mobility_B, stiffness_A, constants, ts, bcs, tol):
         F = np.zeros(n_p)
 
     p = np.full(n_p, float(ts.p0))
-    # displacement consistent with the initial pressure (zero for zero data)
-    u_dofs = dofs[dofs >= n_p] - n_p
-    u_vals = values[dofs >= n_p]
-    a_reduced, a_fold = constrain_system(stiffness_A, u_dofs, u_vals)
-    u = LUSolver(a_reduced, tol).solve(a_fold(-(G_up @ p)))
+    # zero displacement data and a uniform p0 give A u = -G p0 = 0 at t = 0
+    u = np.zeros(n_p * d)
 
     states = [PoroState(p=p.copy(), u=u.copy(), time=0.0)]
     rhs = np.empty(n_p + n_p * d)
@@ -184,8 +150,7 @@ def _march(grid, space, mobility_B, stiffness_A, constants, ts, bcs, tol):
 
 
 def solve_poroelasticity(
-    grid, fields, constants=PoroConstants(), ts=TimeSteppingConfig(), bcs=None,
-    tol=SOLVE_TOL,
+    grid, fields, constants=PoroConstants(), ts=TimeSteppingConfig()
 ):
     """Fine-grid solve with nodal isotropic properties.
 
@@ -193,8 +158,6 @@ def solve_poroelasticity(
     Poisson ratio (see :mod:`poroscale.random_field`).
     """
     space = P1Space(grid)
-    if bcs is None:
-        bcs = standard_bcs(grid.dimension, ts.p1)
     perm = np.asarray(fields.perm, dtype=float)
     if np.any(perm <= 0.0):
         raise ParameterError("permeability must be positive everywhere")
@@ -203,12 +166,11 @@ def solve_poroelasticity(
     stiffness_A = space.assemble_elasticity(
         isotropic_stiffness(young_e, fields.eta, grid.dimension)
     )
-    return _march(grid, space, mobility_B, stiffness_A, constants, ts, bcs, tol)
+    return _march(grid, space, mobility_B, stiffness_A, constants, ts)
 
 
 def solve_coarse(
-    coarse_cells, effective, constants=PoroConstants(), ts=TimeSteppingConfig(),
-    bcs=None, tol=SOLVE_TOL,
+    coarse_cells, effective, constants=PoroConstants(), ts=TimeSteppingConfig()
 ):
     """Coarse-grid solve with piecewise-constant effective tensors per cell.
 
@@ -226,19 +188,15 @@ def solve_coarse(
         m,
     ):
         raise ParameterError("effective tensor arrays do not match the coarse grid")
-    for i in range(n_cells):
-        if np.linalg.eigvalsh(effective.perm[i]).min() <= 0.0:
-            raise ParameterError(
-                f"effective permeability not positive definite in cell {i}"
-            )
-        if np.linalg.eigvalsh(effective.stiffness[i]).min() <= 0.0:
-            raise ParameterError(
-                f"effective stiffness not positive definite in cell {i}"
-            )
+    perm_bad = np.linalg.eigvalsh(effective.perm).min(axis=1) <= 0.0
+    stiff_bad = np.linalg.eigvalsh(effective.stiffness).min(axis=1) <= 0.0
+    bad = np.flatnonzero(perm_bad | stiff_bad)
+    if bad.size:
+        i = bad[0]
+        name = "permeability" if perm_bad[i] else "stiffness"
+        raise ParameterError(f"effective {name} not positive definite in cell {i}")
 
     space = P1Space(grid)
-    if bcs is None:
-        bcs = standard_bcs(d, ts.p1)
     # element order is cell-major, orientation classes fastest
     per_cell = 2 if d == 2 else 6
     cell_of_element = np.repeat(np.arange(n_cells), per_cell)
@@ -246,7 +204,7 @@ def solve_coarse(
     C_e = effective.stiffness[cell_of_element]
     mobility_B = space.assemble_diffusion(k_e)
     stiffness_A = space.assemble_elasticity(C_e)
-    return _march(grid, space, mobility_B, stiffness_A, constants, ts, bcs, tol)
+    return _march(grid, space, mobility_B, stiffness_A, constants, ts)
 
 
 def _interpolate_state(coarse_grid, state, fine_grid):

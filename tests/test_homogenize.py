@@ -12,10 +12,9 @@ from poroscale.elasticity import (
     unit_strain_tensor,
 )
 from poroscale.errors import NumericError, ParameterError
-from poroscale.fem import LUSolver, P1Space, constrain_system
+from poroscale.fem import SOLVE_TOL, LUSolver, P1Space, constrain_system
 from poroscale.grid import StructuredGrid
 from poroscale.homogenize import (
-    SOLVE_TOL,
     EffectiveTensors,
     PatchEngine,
     effective_elasticity,
@@ -245,7 +244,7 @@ def reference_permeability(space, k, where):
         # the reduced matrix does not depend on the prescribed values
         reduced, fold = constrain_system(A, bnodes, grid.node_coords[bnodes, j])
         rhs[:, j] = fold(np.zeros(grid.n_nodes))
-    psi = LUSolver(reduced, SOLVE_TOL).solve(rhs)
+    psi = LUSolver(reduced).solve(rhs)
     grads = space.class_gradients[grid.element_class]
     gpsi = np.einsum("eia,eil->eal", grads, psi[grid.elements])
     k_e = space.element_values(k, where=where)
@@ -267,7 +266,7 @@ def reference_elasticity(space, young, eta, where):
         values = (grid.node_coords[bnodes] @ unit_strain_tensor(pair, d).T).ravel()
         reduced, fold = constrain_system(A, vdofs, values)
         rhs[:, I] = fold(np.zeros(A.shape[0]))
-    phi = LUSolver(reduced, SOLVE_TOL).solve(rhs)
+    phi = LUSolver(reduced).solve(rhs)
     w = mandel_weights(d)
     raw = np.outer(w, w) * (phi.T @ (A @ phi))  # the unit cube has volume 1
     return 0.5 * (raw + raw.T)
@@ -330,7 +329,7 @@ def test_band_solve_rejects_matrix_without_cholesky(cells, sign):
         coeff[:] = 0.0
     for op in (engine.diffusion, engine.elasticity(0.3)):
         with pytest.raises(NumericError):
-            op.solve(coeff, SOLVE_TOL)
+            op.solve(coeff)
 
 
 def test_band_solve_rejects_non_finite_residual():
@@ -338,7 +337,7 @@ def test_band_solve_rejects_non_finite_residual():
     op = engine.diffusion
     op.data = np.full_like(op.data, np.nan)
     with pytest.raises(NumericError):
-        op.solve(np.ones(engine.grid.elements.shape[0]), SOLVE_TOL)
+        op.solve(np.ones(engine.grid.elements.shape[0]))
 
 
 @pytest.mark.parametrize("cells", [(1, 1), (4, 4), (2, 3, 2)])
@@ -346,7 +345,7 @@ def test_band_layout(cells):
     grid = StructuredGrid(cells)
     op = PatchEngine(grid).diffusion
     # at a constant coefficient the solutions are the affine boundary data
-    x, _ = op.solve(np.ones(grid.elements.shape[0]), SOLVE_TOL)
+    x, _ = op.solve(np.ones(grid.elements.shape[0]))
     assert np.allclose(x, grid.node_coords, atol=1e-12)
     dense = np.zeros((op.interior.size,) * 2)
     ab = np.zeros((op.kd + 1, op.interior.size), order="F")

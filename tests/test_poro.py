@@ -5,10 +5,10 @@ import pytest
 
 from poroscale.elasticity import isotropic_stiffness
 from poroscale.errors import ParameterError
+from poroscale.fem import LUSolver, P1Space, constrain_system
 from poroscale.grid import StructuredGrid
 from poroscale.homogenize import EffectiveTensors, homogenize_domain
 from poroscale.poro import (
-    BoundaryCondition,
     ErrorReport,
     PoroConstants,
     PoroState,
@@ -16,7 +16,6 @@ from poroscale.poro import (
     error_norms,
     solve_coarse,
     solve_poroelasticity,
-    standard_bcs,
 )
 from poroscale.random_field import PropertyFields
 
@@ -174,16 +173,61 @@ def test_coarse_refinement_reduces_error():
     assert e10.e_u_l2 < e5.e_u_l2
 
 
-def test_standard_bcs_layout():
-    bcs = standard_bcs(2, p1=2.0)
-    kinds = [(bc.kind, bc.face) for bc in bcs]
-    assert ("displacement", "left") in kinds
-    assert ("displacement", "bottom") in kinds
-    assert ("pressure", "top") in kinds
-    assert len(bcs) == 3
-    assert standard_bcs(3)[2].component == 2
-    top = [bc for bc in bcs if bc.kind == "pressure"][0]
-    assert top.value == 2.0 and top.component is None
+@pytest.mark.parametrize("cells", [(6, 6), (3, 3, 3)], ids=["2d", "3d"])
+def test_boundary_setup(cells):
+    # rollers: u_i = 0 on the face x_i = 0; inlet: p = p1 on the top face
+    fine = StructuredGrid(cells)
+    d = fine.dimension
+    fields = uniform_fields(fine, young=1.0, eta=0.25)
+    coarse = tuple(n // 3 for n in cells)
+    eff = homogenize_domain(fine, coarse, fields)
+    ts = TimeSteppingConfig(t_max=0.01, n_steps=3, p0=0.5, p1=2.0)
+    for grid, states in (
+        (fine, solve_poroelasticity(fine, fields, ts=ts)),
+        (StructuredGrid(coarse), solve_coarse(coarse, eff, ts=ts)),
+    ):
+        assert len(states) == 4
+        # the initial state is p0 everywhere and at rest
+        assert np.all(states[0].p == 0.5) and not states[0].u.any()
+        top = grid.boundary_nodes("top")
+        for s in states:
+            u = s.u.reshape(-1, d)
+            for i, face in enumerate(("left", "bottom", "back")[:d]):
+                assert np.abs(u[grid.boundary_nodes(face), i]).max() <= 1e-12
+            if s.time > 0.0:
+                assert np.allclose(s.p[top], 2.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p0", [1.0, -2.5])
+@pytest.mark.parametrize("cells", [(16, 16), (6, 6, 6)], ids=["2d", "3d"])
+def test_initial_displacement_is_zero(cells, p0):
+    # A uniform p0 has no gradient, so the elasticity solve A u = -G p0 with
+    # the rollers eliminated returns zero up to round-off; the marcher skips
+    # it and starts from u = 0
+    grid = StructuredGrid(cells)
+    d = grid.dimension
+    rng = np.random.default_rng(67)
+    fields = PropertyFields(
+        perm=np.exp(rng.normal(0.0, 1.0, size=grid.n_nodes)),
+        young=np.exp(rng.normal(2.0, 0.5, size=grid.n_nodes)),
+        eta=0.3,
+    )
+    space = P1Space(grid)
+    A = space.assemble_elasticity(
+        isotropic_stiffness(space.element_values(fields.young), fields.eta, d)
+    )
+    _, G = space.assemble_coupling(PoroConstants().alpha_biot)
+    rollers = np.concatenate(
+        [
+            grid.boundary_nodes(face) * d + i
+            for i, face in enumerate(("left", "bottom", "back")[:d])
+        ]
+    )
+    reduced, fold = constrain_system(A, rollers, 0.0)
+    u = LUSolver(reduced).solve(fold(-(G @ np.full(grid.n_nodes, p0))))
+    assert np.abs(u).max() <= 1e-12 * abs(p0)
+    ts = TimeSteppingConfig(t_max=0.01, n_steps=2, p0=p0)
+    assert not solve_poroelasticity(grid, fields, ts=ts)[0].u.any()
 
 
 def test_solver_rejects_bad_inputs():
