@@ -26,6 +26,12 @@ from .poro import PoroConstants, TimeSteppingConfig
 from .random_field import CovarianceSpec, PropertyParams
 from .surrogate import TrainConfig
 
+# config_to_text has no caller in the package: perfbench and the tests use it
+__all__ = [
+    "PRESET_NAMES", "SCHEMA", "PipelineConfig", "config_from_text",
+    "config_to_text", "load_config", "load_preset",
+]
+
 PRESET_NAMES = (
     "test1",
     "test2",

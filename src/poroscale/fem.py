@@ -16,10 +16,10 @@ operator built here carries the matching weights, so assembled energies
 equal the physical ones.
 
 Every linear solve, by :class:`LUSolver` or by the band Cholesky of
-:mod:`poroscale.homogenize`, passes :func:`check_residual`.
+:mod:`poroscale.homogenize`, passes its residual to :func:`check_residual`.
+:class:`DirichletSystem` takes distinct dofs, their values in the same order.
 """
 
-import logging
 from functools import cached_property
 
 import numpy as np
@@ -28,8 +28,6 @@ from scipy.sparse.linalg import splu
 
 from .elasticity import SQRT2, n_strain_components, strain_component_pairs
 from .errors import NumericError, ParameterError
-
-logger = logging.getLogger(__name__)
 
 # elements per COO accumulation block; keeps peak assembly memory flat
 _CHUNK = 1 << 18
@@ -269,22 +267,24 @@ class P1Space:
 
 
 class DirichletSystem:
-    """Symmetric elimination of a fixed set of constrained dofs.
+    """Symmetric elimination of a fixed set of distinct constrained dofs.
 
     Constrained rows and columns of the matrix are zeroed and replaced by
     identity rows once; any combination of right-hand side and prescribed
-    values can then be folded into a matching reduced rhs, so one
-    factorization serves many boundary data.
+    values, listed in the order of ``dofs``, can then be folded into a
+    matching reduced rhs, so one factorization serves many boundary data.
     """
 
     def __init__(self, matrix, dofs):
         n = matrix.shape[0]
-        dofs = np.unique(np.atleast_1d(np.asarray(dofs, dtype=np.int64)))
-        if dofs.size and (dofs[0] < 0 or dofs[-1] >= n):
+        dofs = np.atleast_1d(np.asarray(dofs, dtype=np.int64))
+        if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
             raise ParameterError("constrained dof index out of range")
         self.dofs = dofs
         self.mask = np.ones(n)
         self.mask[dofs] = 0.0
+        if np.count_nonzero(self.mask) != n - dofs.size:
+            raise ParameterError("constrained dofs must be distinct")
         keep = sparse.diags(self.mask)
         pin = sparse.coo_matrix(
             (np.ones(dofs.size), (dofs, dofs)), shape=(n, n)
@@ -308,30 +308,14 @@ class DirichletSystem:
 
 
 def constrain_system(matrix, dofs, values):
-    """Eliminate Dirichlet dofs with fixed prescribed values.
+    """Eliminate distinct Dirichlet dofs with fixed prescribed values.
 
-    Repeated dofs are allowed; on conflicting values the last entry wins and
-    a warning is logged. Returns ``(reduced_matrix, fold_rhs)`` where
-    ``fold_rhs(b)`` folds the values into any right-hand side.
+    ``values`` pairs with ``dofs`` in the given order, or is one scalar.
+    Returns ``(reduced_matrix, fold_rhs)`` where ``fold_rhs(b)`` folds the
+    values into any right-hand side.
     """
-    n = matrix.shape[0]
-    dofs = np.atleast_1d(np.asarray(dofs, dtype=np.int64))
-    values = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape)
-    if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
-        raise ParameterError("constrained dof index out of range")
-
-    # a stable sort keeps the listing order among repeats of one dof
-    order = np.argsort(dofs, kind="stable")
-    dofs, values = dofs[order], values[order]
-    repeat = dofs[1:] == dofs[:-1]
-    conflicts = int(np.count_nonzero(repeat & (values[1:] != values[:-1])))
-    if conflicts:
-        logger.warning(
-            "%d conflicting boundary values; keeping the last one given", conflicts
-        )
-    last = np.append(~repeat, True)
-    system = DirichletSystem(matrix, dofs[last])
-    values = values[last]
+    system = DirichletSystem(matrix, dofs)
+    values = np.broadcast_to(np.asarray(values, dtype=float), system.dofs.shape)
 
     def fold_rhs(b):
         return system.fold_rhs(b, values)
@@ -343,12 +327,13 @@ def constrain_system(matrix, dofs, values):
 # solvers
 
 
-def check_residual(matrix, x, b):
-    """Raise :class:`NumericError` unless every relative residual of
-    ``matrix @ x = b`` is at most ``SOLVE_TOL``; a non-finite one fails."""
+def check_residual(residual, b):
+    """Raise :class:`NumericError` unless every column of ``residual`` is at
+    most ``SOLVE_TOL`` relative to the matching column of the right-hand
+    side ``b``; a non-finite residual fails."""
     scale = np.linalg.norm(b, axis=0)
     scale = np.where(scale > 0.0, scale, 1.0)
-    worst = float(np.max(np.linalg.norm(matrix @ x - b, axis=0) / scale))
+    worst = float(np.max(np.linalg.norm(residual, axis=0) / scale))
     if not worst <= SOLVE_TOL:
         raise NumericError(
             f"linear solve residual {worst:.3e} exceeds tolerance {SOLVE_TOL:.1e}",
@@ -369,5 +354,5 @@ class LUSolver:
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
         x = self._lu.solve(rhs)
-        check_residual(self.matrix, x, rhs)
+        check_residual(self.matrix @ x - rhs, rhs)
         return x

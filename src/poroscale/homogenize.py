@@ -18,8 +18,9 @@ All cells share one patch grid, so a :class:`PatchEngine` builds the
 sparsity pattern of each operator once; a patch's matrix is then a sum of
 reference element matrices weighted by the element coefficient (at fixed
 Poisson ratio the isotropic stiffness is linear in Young's modulus). The
-boundary dofs are eliminated by index: each problem solves
-A_II x_I = -A_IB g. In the natural order of the interior dofs A_II is an
+boundary dofs are eliminated by index on one matrix A(c) per solve: with
+x0 the boundary data, zero inside, each problem solves A_II x_I = -(A x0)_I
+with residual (A x)_I. In the natural order of the interior dofs A_II is an
 SPD band matrix of half-bandwidth kd (133 for diffusion, 401 for elasticity
 on a 12^3 patch), which LAPACK's band Cholesky factors in one zeroed buffer
 per solve (``overwrite_ab``), at a cost of order n_I kd^2.
@@ -110,9 +111,10 @@ class CellOperator:
 
     ``A(c) = sum_e c_e K[class(e)]`` is linear in the element coefficient
     ``c``. Its CSC pattern is built once, with an int32 slot for every entry
-    of every element matrix; the blocks A_II and A_IB index into it, as does
-    ``band``, the flat slot of each lower entry of A_II in the Fortran-ordered
+    of every element matrix. ``band`` pairs the slot of each lower entry of
+    the interior block A_II with its flat index in the Fortran-ordered
     (kd+1, n_I) band array. Column j of ``data`` holds problem j's values g.
+    Each solve builds one sparse matrix, A(c), for its rhs, residual and A x.
     """
 
     def __init__(self, grid, edofs, local, boundary, data):
@@ -132,48 +134,41 @@ class CellOperator:
         self.pattern = (keys % n, np.searchsorted(keys, np.arange(n + 1) * n))
         self.interior = np.setdiff1d(np.arange(n), boundary)
         self.boundary, self.data = boundary, data
-        positions = sparse.csc_matrix(
-            (np.arange(1.0, keys.size + 1), *self.pattern), shape=(n, n)
-        )[self.interior]
-        self.blocks = [
-            (b.data.astype(np.int64) - 1, b.indices, b.indptr, b.shape)
-            for b in (positions[:, cols] for cols in (self.interior, boundary))
-        ]
-        pos, rows, indptr, (n_i, _) = self.blocks[0]
-        cols = np.repeat(np.arange(n_i), np.diff(indptr))
-        lower = rows >= cols
-        self.kd = int((rows - cols).max(initial=0))
+        # interior number of every dof, -1 on the boundary
+        number = np.full(n, -1)
+        number[self.interior] = np.arange(self.interior.size)
+        rows, cols = number[self.pattern[0]], number[keys // n]
+        lower = (cols >= 0) & (rows >= cols)
+        self.kd = int((rows - cols)[lower].max(initial=0))
         # a[i, j] with i >= j sits at ab[i - j, j], in column-major order; in
         # lower storage LAPACK's column updates run on contiguous memory
-        self.band = (pos[lower], (rows + self.kd * cols)[lower].astype(np.int32))
-        self.factor_fill = (self.kd + 1) * n_i
+        flat = (rows + self.kd * cols)[lower].astype(np.int32)
+        self.band = (np.flatnonzero(lower), flat)
+        self.factor_fill = (self.kd + 1) * self.interior.size
 
     def solve(self, coeff):
-        """Solutions of all problems, (n, n_problems), and the full matrix."""
+        """Solutions of all problems, (n, n_problems), and A(c) times them."""
         values = np.zeros(self.pattern[0].size)
         for elems, slots, k in self.classes:
             weights = (coeff[elems, None, None] * k).ravel()
             values += np.bincount(slots, weights, values.size)
-        A_ii, A_ib = (
-            sparse.csc_matrix((values[pos], indices, indptr), shape)
-            for pos, indices, indptr, shape in self.blocks
-        )
+        n = self.pattern[1].size - 1
+        A = sparse.csc_matrix((values, *self.pattern), shape=(n, n))
+        x = np.zeros((n, self.data.shape[1]))
+        x[self.boundary] = self.data
+        rhs = -(A @ x)[self.interior]
         # in Fortran order LAPACK factors ab in place, without a copy
         ab = np.zeros((self.kd + 1, self.interior.size), order="F")
         ab.ravel("F")[self.band[1]] = values[self.band[0]]
-        rhs = -(A_ib @ self.data)
         try:
-            xi = solveh_banded(
+            x[self.interior] = solveh_banded(
                 ab, rhs, overwrite_ab=True, lower=True, check_finite=False
             )
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"band Cholesky of A_II failed: {exc}") from exc
-        check_residual(A_ii, xi, rhs)
-        n = self.pattern[1].size - 1
-        x = np.empty((n, self.data.shape[1]))
-        x[self.boundary] = self.data
-        x[self.interior] = xi
-        return x, sparse.csc_matrix((values, *self.pattern), shape=(n, n))
+        Ax = A @ x
+        check_residual(Ax[self.interior], rhs)
+        return x, Ax
 
 
 class PatchEngine(P1Space):
@@ -256,10 +251,10 @@ def effective_elasticity(space, young, eta, with_asymmetry=False, where="node"):
     grid = engine.grid
     young_e = engine.element_values(young, where=where)
     lame_parameters(young_e, eta)  # validates E > 0 and the Poisson ratio
-    phi, stiffness = engine.elasticity(eta).solve(young_e)
+    phi, A_phi = engine.elasticity(eta).solve(young_e)
 
     volume = grid.element_volume * grid.elements.shape[0]
-    energy = phi.T @ (stiffness @ phi) / volume
+    energy = phi.T @ A_phi / volume
     w = mandel_weights(engine.d)
     raw = np.outer(w, w) * energy
     cstar = 0.5 * (raw + raw.T)

@@ -479,9 +479,10 @@ def _speedup_block(layout):
             online_s = predict_times[index]
             if online_s > 0:
                 speedups[index] = direct_s / online_s
+            speedup = f"x{speedups[index]:.1f}" if index in speedups else "n/a"
             lines.append(
                 f"realization {index}: direct local solves {direct_s:.3f} s, "
-                f"prediction {online_s:.3f} s, speedup x{direct_s / online_s:.1f}"
+                f"prediction {online_s:.3f} s, speedup {speedup}"
             )
     lines.append(REFERENCE_SPEEDUP_NOTE)
     return lines, speedups

@@ -20,7 +20,7 @@ from poroscale.config import (
 )
 from poroscale.dataset import SplitSpec
 from poroscale.errors import ParameterError
-from poroscale.pipeline import RunLayout
+from poroscale.pipeline import RunLayout, _speedup_block
 from poroscale.poro import PoroConstants, TimeSteppingConfig
 from poroscale.random_field import CovarianceSpec, PropertyParams
 from poroscale.surrogate import TrainConfig
@@ -325,6 +325,23 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
     assert evaluate["total_s"] >= sum(evaluate["per_target_s"].values()) > 0.0
     report = json.loads(layout.timing_path("report").read_text("utf-8"))
     assert report["stage"] == "report" and report["total_s"] > 0.0
+
+
+def test_speedup_lines_survive_zero_prediction_time(tmp_path):
+    layout = RunLayout(tmp_path)
+    layout.dir("timing")
+    timings = {
+        "homogenize": {"per_realization_s": {"2": 0.5, "3": 0.8}},
+        "predict": {"per_realization_s": {"2": 0.0, "3": 0.1}},
+    }
+    for stage, payload in timings.items():
+        layout.timing_path(stage).write_text(json.dumps(payload), "utf-8")
+    lines, speedups = _speedup_block(layout)
+    assert speedups == {"3": pytest.approx(8.0)}
+    assert lines[:2] == [
+        "realization 2: direct local solves 0.500 s, prediction 0.000 s, speedup n/a",
+        "realization 3: direct local solves 0.800 s, prediction 0.100 s, speedup x8.0",
+    ]
 
 
 def test_stage_summary_is_json(capsys, tmp_path):

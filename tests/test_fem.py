@@ -227,19 +227,20 @@ def test_dirichlet_system_multi_rhs():
     assert np.allclose(one, rhs[:, 0], atol=1e-14)
 
 
-def test_conflicting_constraints_last_wins(caplog):
+def test_repeated_constraints_raise():
     A = sparse.eye(3, format="csr")
-    with caplog.at_level("WARNING"):
-        reduced, fold = constrain_system(A, [0, 0], [1.0, 5.0])
-    assert "conflicting" in caplog.text
-    x = LUSolver(reduced).solve(fold(np.zeros(3)))
-    assert x[0] == pytest.approx(5.0)
-    caplog.clear()
-    with caplog.at_level("WARNING"):
-        reduced, fold = constrain_system(A, [2, 0, 2, 0, 2], [1.0, 3.0, 4.0, 3.0, 6.0])
-    assert "2 conflicting" in caplog.text
+    with pytest.raises(ParameterError):
+        constrain_system(A, [0, 0], [1.0, 1.0])
+    with pytest.raises(ParameterError):
+        DirichletSystem(A, [2, 0, 2])
+
+
+def test_unsorted_constraints_keep_their_values():
+    A = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(3, 3), format="csr")
+    reduced, fold = constrain_system(A, [2, 0], [6.0, 3.0])
     x = LUSolver(reduced).solve(fold(np.zeros(3)))
     assert x[[0, 2]] == pytest.approx([3.0, 6.0])
+    assert x[1] == pytest.approx(4.5)
 
 
 def test_constraint_index_validation():

@@ -347,13 +347,41 @@ def test_band_layout(cells):
     # at a constant coefficient the solutions are the affine boundary data
     x, _ = op.solve(np.ones(grid.elements.shape[0]))
     assert np.allclose(x, grid.node_coords, atol=1e-12)
-    dense = np.zeros((op.interior.size,) * 2)
-    ab = np.zeros((op.kd + 1, op.interior.size), order="F")
-    ab.ravel("F")[op.band[1]] = 1.0
-    for j in range(op.interior.size):
-        for i in range(j, min(j + op.kd + 1, op.interior.size)):
-            dense[i, j] = dense[j, i] = ab[i - j, j]
-    pos, indices, indptr, shape = op.blocks[0]
-    pattern = sparse.csc_matrix((np.ones(pos.size), indices, indptr), shape)
-    assert np.array_equal(dense != 0.0, pattern.toarray() != 0.0)
+    # number the slots of the pattern 1, 2, ...; the band must hold the
+    # slot of every lower entry of A_II at its banded position
+    n, n_i = op.pattern[1].size - 1, op.interior.size
+    slots = sparse.csc_matrix(
+        (np.arange(1.0, op.pattern[0].size + 1), *op.pattern), shape=(n, n)
+    )
+    A_ii = slots[op.interior][:, op.interior].toarray()
+    ab = np.zeros((op.kd + 1, n_i), order="F")
+    ab.ravel("F")[op.band[1]] = op.band[0] + 1.0
+    banded = np.zeros((n_i, n_i))
+    for j in range(n_i):
+        for i in range(j, min(j + op.kd + 1, n_i)):
+            banded[i, j] = ab[i - j, j]
+    assert np.array_equal(banded, np.tril(A_ii))
+    # the pattern is symmetric, so the lower band carries all of A_II
+    assert np.array_equal(np.triu(A_ii) != 0.0, np.tril(A_ii).T != 0.0)
     assert op.factor_fill == (op.kd + 1) * op.interior.size
+
+
+@pytest.mark.parametrize("cells", [(5, 5), (3, 3, 3)])
+def test_solve_returns_matrix_times_solution(cells):
+    # the second value of solve is A(c) x, with A(c) the assembled operator
+    grid = StructuredGrid(cells)
+    engine = PatchEngine(grid)
+    coeff = np.exp(np.random.default_rng(47).normal(size=grid.elements.shape[0]))
+    eta = 0.3
+    cases = [
+        (engine.diffusion, engine.assemble_diffusion(coeff, where="element")),
+        (
+            engine.elasticity(eta),
+            engine.assemble_elasticity(isotropic_stiffness(coeff, eta, grid.dimension)),
+        ),
+    ]
+    for op, A in cases:
+        x, Ax = op.solve(coeff)
+        assert Ax.shape == x.shape == (A.shape[0], op.data.shape[1])
+        scale = abs(A).max() * np.abs(x).max()
+        assert np.allclose(Ax, A @ x, rtol=0.0, atol=1e-13 * scale)
