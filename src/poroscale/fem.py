@@ -17,6 +17,8 @@ equal the physical ones.
 
 Every linear solve, by :class:`LUSolver` or by the band Cholesky of
 :mod:`poroscale.homogenize`, passes its residual to :func:`check_residual`.
+:class:`LUSolver` factors in the order it is given, with diagonal pivots;
+its caller orders the unknowns for low fill.
 :class:`DirichletSystem` takes distinct dofs, their values in the same order.
 """
 
@@ -342,12 +344,23 @@ def check_residual(residual, b):
 
 
 class LUSolver:
-    """Reusable sparse LU factorization with a residual check on each solve."""
+    """Reusable sparse LU factorization with a residual check on each solve.
+
+    The matrix is factored in the order it is given: the caller orders the
+    unknowns for low fill. Pivots come from the diagonal; a zero diagonal
+    entry pivots off the diagonal instead. A singular matrix raises
+    :class:`NumericError`.
+    """
 
     def __init__(self, matrix):
         self.matrix = matrix.tocsc()
         try:
-            self._lu = splu(self.matrix)
+            self._lu = splu(
+                self.matrix,
+                permc_spec="NATURAL",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
         except RuntimeError as exc:
             raise NumericError(f"sparse factorization failed: {exc}") from exc
 

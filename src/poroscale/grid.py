@@ -145,6 +145,33 @@ class StructuredGrid:
             tets[t::6] = base[:, None] + offs[None, :]
         return tets
 
+    @cached_property
+    def dissection_order(self):
+        """Node ids in geometric nested-dissection order.
+
+        The node box is bisected across its longest axis by one lattice
+        plane. Every element lies inside one cell, so no element joins the
+        two halves and the plane separates them. Each half is ordered
+        recursively, then the plane; boxes of side at most 3 are leaves in
+        C order. Eliminating in this order keeps the fill of a factor near
+        optimal for a regular grid (George, SIAM J. Numer. Anal. 10, 1973).
+        """
+        parts = []
+
+        def order(box):
+            axis = int(np.argmax(box.shape))
+            side = box.shape[axis]
+            if side <= 3:
+                parts.append(box.ravel())
+                return
+            low, plane, high = np.split(box, [side // 2, side // 2 + 1], axis=axis)
+            order(low)
+            order(high)
+            parts.append(plane.ravel())
+
+        order(np.arange(self.n_nodes).reshape(self.node_shape))
+        return np.concatenate(parts)
+
     def face_names(self):
         return FACE_NAMES_2D if self.dimension == 2 else FACE_NAMES_3D
 

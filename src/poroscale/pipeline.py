@@ -503,21 +503,30 @@ def report_stage(config, layout):
     ):
         sources.append(PREDICTED)
 
-    rows = []
-    for source in sources:
-        for index in held_out_indices(config):
-            fields = load_fields(layout, config, index)
-            fine_state = _final_state(layout, "fine", index, "solve-fine")
-            coarse_state = _final_state(
+    # one load and one assembly of the fine norms per realization
+    reports = {}
+    for index in held_out_indices(config):
+        fields = load_fields(layout, config, index)
+        fine_state = _final_state(layout, "fine", index, "solve-fine")
+        coarse_states = [
+            _final_state(
                 layout,
                 f"coarse_{source}",
                 index,
                 f"solve-coarse --tensors {source}",
             )
-            report = error_norms(
-                fine_state, coarse_state, fine_grid, coarse_grid, fields
-            )
-            rows.append((config.name, source, index) + report.as_tuple())
+            for source in sources
+        ]
+        for source, report in zip(
+            sources,
+            error_norms(fine_state, coarse_states, fine_grid, coarse_grid, fields),
+        ):
+            reports[source, index] = report
+    rows = [
+        (config.name, source, index) + reports[source, index].as_tuple()
+        for source in sources
+        for index in held_out_indices(config)
+    ]
 
     with open(layout.errors_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("test,case,realization,e_p_L2,e_p_en,e_u_L2,e_u_en\n")

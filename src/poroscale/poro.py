@@ -10,6 +10,13 @@ where Mm is the storage mass matrix (1/M_biot), B the mobility stiffness
 the Biot coefficient. Global unknown layout: pressure nodes first, then
 displacements node-major.
 
+The factor uses another order. The grid's nested-dissection node order
+(:attr:`poroscale.grid.StructuredGrid.dissection_order`) is expanded to
+blocks of d+1 unknowns, each node's pressure followed by its d
+displacement components. The constrained system is permuted into that
+order once and factored in it; each right-hand side is permuted in and
+each solution back, so states keep the global layout.
+
 Every solve uses one boundary setup: displacement component i is fixed at
 0 on the face x_i = 0 (rollers on left, bottom and, in 3D, back), the
 pressure is p1 on the top face x_2 = 1, and every other face is natural
@@ -126,7 +133,10 @@ def _march(grid, space, mobility_B, stiffness_A, constants, ts):
         [[Mm / tau + mobility_B, D_pu / tau], [G_up, stiffness_A]], format="csr"
     )
     reduced, fold = constrain_system(system, *_fixed_dofs(grid, ts.p1))
-    solver = LUSolver(reduced)
+    # each node in dissection order gives its pressure, then its d components
+    nodes = grid.dissection_order[:, None]
+    order = np.hstack([nodes, n_p + nodes * d + np.arange(d)]).ravel()
+    solver = LUSolver(reduced[order][:, order])
 
     if constants.source != 0.0:
         F = constants.source * (space.assemble_mass(1.0) @ np.ones(n_p))
@@ -142,7 +152,8 @@ def _march(grid, space, mobility_B, stiffness_A, constants, ts):
     for n in range(1, ts.n_steps + 1):
         rhs[:n_p] = F + (Mm @ p) / tau + (D_pu @ u) / tau
         rhs[n_p:] = 0.0
-        sol = solver.solve(fold(rhs))
+        sol = np.empty_like(rhs)
+        sol[order] = solver.solve(fold(rhs)[order])
         p = sol[:n_p]
         u = sol[n_p:]
         states.append(PoroState(p=p.copy(), u=u.copy(), time=n * tau))
@@ -216,17 +227,16 @@ def _interpolate_state(coarse_grid, state, fine_grid):
     return PoroState(p=p, u=u, time=state.time)
 
 
-def error_norms(fine_state, coarse_state, fine_grid, coarse_grid, fields):
-    """Relative L2 and energy errors of a coarse state, in percent.
+def error_norms(fine_state, coarse_states, fine_grid, coarse_grid, fields):
+    """Relative L2 and energy errors of each coarse state, in percent.
 
-    The coarse solution is first interpolated onto the fine nodes. Energy
+    Each coarse solution is first interpolated onto the fine nodes. Energy
     norms weight pressure by the fine permeability and displacement by the
-    fine stiffness.
+    fine stiffness; these forms are assembled once for all
+    ``coarse_states``. Returns one :class:`ErrorReport` per coarse state.
     """
     d = fine_grid.dimension
     space = P1Space(fine_grid)
-    interp = _interpolate_state(coarse_grid, coarse_state, fine_grid)
-
     mass = space.assemble_mass(1.0)
     diffusion = space.assemble_diffusion(np.asarray(fields.perm, dtype=float))
     young_e = space.element_values(fields.young)
@@ -239,18 +249,22 @@ def error_norms(fine_state, coarse_state, fine_grid, coarse_grid, fields):
             raise ParameterError("reference solution norm is zero")
         return 100.0 * float(np.sqrt(num / den))
 
-    dp = fine_state.p - interp.p
-    du = fine_state.u - interp.u
-    du2 = du.reshape(-1, d)
     uf2 = fine_state.u.reshape(-1, d)
-    l2_num = sum(float(du2[:, c] @ (mass @ du2[:, c])) for c in range(d))
     l2_den = sum(float(uf2[:, c] @ (mass @ uf2[:, c])) for c in range(d))
     if l2_den <= 0.0:
         raise ParameterError("reference solution norm is zero")
 
-    return ErrorReport(
-        e_p_l2=ratio(dp, fine_state.p, mass),
-        e_p_energy=ratio(dp, fine_state.p, diffusion),
-        e_u_l2=100.0 * float(np.sqrt(l2_num / l2_den)),
-        e_u_energy=ratio(du, fine_state.u, stiffness),
-    )
+    def report(coarse_state):
+        interp = _interpolate_state(coarse_grid, coarse_state, fine_grid)
+        dp = fine_state.p - interp.p
+        du = fine_state.u - interp.u
+        du2 = du.reshape(-1, d)
+        l2_num = sum(float(du2[:, c] @ (mass @ du2[:, c])) for c in range(d))
+        return ErrorReport(
+            e_p_l2=ratio(dp, fine_state.p, mass),
+            e_p_energy=ratio(dp, fine_state.p, diffusion),
+            e_u_l2=100.0 * float(np.sqrt(l2_num / l2_den)),
+            e_u_energy=ratio(du, fine_state.u, stiffness),
+        )
+
+    return [report(state) for state in coarse_states]

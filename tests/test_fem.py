@@ -182,6 +182,18 @@ def test_lusolver_singular_matrix_raises():
         LUSolver(A).solve(np.array([1.0, 0.0]))
 
 
+def test_lusolver_pivots_off_a_zero_diagonal():
+    # the natural order meets a zero pivot at once; the factor must pivot
+    # off the diagonal rather than fail, and still reject a singular matrix
+    dense = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 1.0]])
+    b = np.array([1.0, 2.0, 3.0])
+    x = LUSolver(sparse.csr_matrix(dense)).solve(b)
+    assert np.allclose(x, np.linalg.solve(dense, b), rtol=0.0, atol=1e-14)
+    singular = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(NumericError):
+        LUSolver(sparse.csr_matrix(singular)).solve(b)
+
+
 def test_lusolver_rejects_non_finite_residual():
     solver = LUSolver(sparse.diags([2.0, 1.0]))
     with pytest.raises(NumericError):

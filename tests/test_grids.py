@@ -151,6 +151,27 @@ def test_interpolate_clips_to_domain():
     assert np.allclose(out, [1.0, 0.0], atol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [(1, 1), (5, 2), (1, 7), (16, 16), (1, 1, 1), (3, 1, 4), (6, 6, 6)],
+)
+def test_dissection_order_is_a_permutation(cells):
+    g = StructuredGrid(cells)
+    order = g.dissection_order
+    assert order.dtype.kind == "i"
+    assert np.array_equal(np.sort(order), np.arange(g.n_nodes))
+
+
+def test_dissection_order_ends_with_the_middle_plane():
+    # the first bisection of 9x5 nodes cuts the longest axis at node 4
+    g = StructuredGrid((8, 4))
+    order = g.dissection_order
+    lattice = np.arange(g.n_nodes).reshape(g.node_shape)
+    assert np.array_equal(order[-5:], lattice[4])
+    halves = order[:-5] // g.node_shape[1]
+    assert set(halves[:20]) == {0, 1, 2, 3}
+
+
 def test_invalid_grids():
     with pytest.raises(ParameterError):
         StructuredGrid((4,))
