@@ -3,7 +3,9 @@
 Every layer exposes ``forward(x, train=False, rng=None)`` and
 ``backward(grad_out) -> grad_in``; trainable layers also carry ``params``
 and ``grads`` lists (same order, same shapes). Arrays are float64
-throughout, activations are ``(batch, channels, *spatial)``.
+throughout, activations are ``(batch, channels, *spatial)``. ``Conv``
+writes its output channels-last and returns that shape as a view, which
+the layers after it read by shape alone.
 
 Backward calls consume the cache left by the most recent forward call.
 Trainable layers take ``backward(grad_out, input_grad=True)``: with
@@ -60,21 +62,23 @@ class Conv:
         self._cols = None
 
     def _columns(self, x):
-        """(batch * spatial, in_ch * k^d) windows of the zero-padded input."""
+        """(batch * spatial, in_ch * k^d) windows of the zero-padded input.
+
+        The input is padded channels-last, so its window view already runs
+        (batch, *spatial, ch, *kernel) and one reshape copies it.
+        """
         d, p = self.dim, self.kernel // 2
-        padded = np.pad(x, [(0, 0), (0, 0)] + [(p, p)] * d)
-        spatial_axes = tuple(range(2, 2 + d))
-        win = sliding_window_view(padded, (self.kernel,) * d, spatial_axes)
-        # (batch, ch, *spatial, *kernel) -> (batch, *spatial, ch, *kernel)
-        order = (0,) + spatial_axes + (1,) + tuple(range(2 + d, 2 + 2 * d))
-        return win.transpose(order).reshape(x.shape[0] * prod(x.shape[2:]), -1)
+        padded = np.pad(np.moveaxis(x, 1, -1), [(0, 0)] + [(p, p)] * d + [(0, 0)])
+        win = sliding_window_view(padded, (self.kernel,) * d, tuple(range(1, 1 + d)))
+        return win.reshape(x.shape[0] * prod(x.shape[2:]), -1)
 
     def forward(self, x, train=False, rng=None):
         self._cols = self._columns(x)
         kernels = self.weight.reshape(self.weight.shape[0], -1)
-        out = (self._cols @ kernels.T).reshape(x.shape[:1] + x.shape[2:] + (-1,))
-        # (batch, *spatial, out_ch) -> (batch, out_ch, *spatial)
-        return np.moveaxis(out, -1, 1) + self.bias.reshape((1, -1) + (1,) * self.dim)
+        out = self._cols @ kernels.T
+        out += self.bias
+        # (batch, *spatial, out_ch) in memory, seen as (batch, out_ch, *spatial)
+        return np.moveaxis(out.reshape(x.shape[:1] + x.shape[2:] + (-1,)), -1, 1)
 
     def backward(self, grad_out, input_grad=True):
         d, k = self.dim, self.kernel
@@ -127,7 +131,8 @@ class MaxPool:
     """2^d max pooling with stride 2; odd extents round up (ceil mode).
 
     Odd extents are padded with -inf so the padding never wins. Ties
-    route the gradient to the first maximal position only.
+    route the gradient to the first maximal position only; ``backward``
+    finds those positions, so an inference pass does not.
     """
 
     params = ()
@@ -151,18 +156,18 @@ class MaxPool:
         if any(n % 2 for n in spatial):
             pad = [(0, 0), (0, 0)] + [(0, n % 2) for n in spatial]
             x = np.pad(x, pad, constant_values=-np.inf)
-        slots = self._slots(x)
-        out = reduce(np.maximum, slots)
-        # first maximal slot per output: later slots are overwritten by earlier
-        first = np.zeros(out.shape, dtype=np.int8)
-        for s in reversed(range(len(slots))):
-            np.putmask(first, slots[s] == out, s)
-        self._cache = (first, x.shape, spatial)
+        out = reduce(np.maximum, self._slots(x))
+        self._cache = (x, out, spatial)
         return out
 
     def backward(self, grad_out):
-        first, padded_shape, spatial = self._cache
-        grad = np.empty(padded_shape)
+        x, out, spatial = self._cache
+        slots = self._slots(x)
+        # first maximal slot per output: later slots are overwritten by earlier
+        first = np.zeros_like(out, dtype=np.int8)
+        for s in reversed(range(len(slots))):
+            np.putmask(first, slots[s] == out, s)
+        grad = np.empty(x.shape)
         for s, view in enumerate(self._slots(grad)):
             np.multiply(grad_out, first == s, out=view)
         return grad[(Ellipsis,) + tuple(slice(0, n) for n in spatial)]

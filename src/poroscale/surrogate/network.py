@@ -6,8 +6,10 @@ patch regressors pair convolution/pool blocks with a dense head:
     2D: 4 blocks with 8, 16, 32, 64 filters
     3D: 2 blocks with 16, 32 filters
 
-each block being Conv(3^d, same) -> ReLU -> MaxPool(2^d, stride 2), then
-Flatten -> Dense(512) -> Dropout -> Dense(n_out).
+each block being Conv(3^d, same) -> MaxPool(2^d, stride 2) -> ReLU, then
+Flatten -> Dense(512) -> Dropout -> Dense(n_out). ReLU after the pool
+gives the same values and gradients as before it, since max commutes
+with a monotone map, on 2^-d of the entries.
 
 A saved model is a directory of NHAR array files
 (:mod:`poroscale.arrayio`): the arguments of :func:`build_network` and
@@ -123,7 +125,7 @@ def build_network(dim, patch, n_out, dropout=DEFAULT_DROPOUT, seed=0):
     layers = []
     in_ch = 1
     for out_ch in filters:
-        layers += [Conv(dim, in_ch, out_ch, rng=rng), ReLU(), MaxPool(dim)]
+        layers += [Conv(dim, in_ch, out_ch, rng=rng), MaxPool(dim), ReLU()]
         in_ch = out_ch
     flat = filters[-1] * pooled_extent(patch, len(filters)) ** dim
     layers += [

@@ -143,6 +143,19 @@ def test_conv_matches_naive(dim, spatial):
     np.testing.assert_allclose(got, naive_conv(x, layer.weight, layer.bias), atol=1e-13)
 
 
+@pytest.mark.parametrize("shape", [(3, 2, 6, 5), (2, 2, 3, 5, 4)])
+def test_relu_after_pool_equals_relu_before_pool(shape):
+    # integral values give ties, zeros and all-negative windows
+    x = np.round(np.random.default_rng(41).normal(size=shape))
+    d = len(shape) - 2
+    before = Network([ReLU(), MaxPool(d)])
+    after = Network([MaxPool(d), ReLU()])
+    out = before.forward(x)
+    assert after.forward(x).tobytes() == out.tobytes()
+    g = np.random.default_rng(42).normal(size=out.shape)
+    np.testing.assert_array_equal(after.backward(g), before.backward(g))
+
+
 @pytest.mark.parametrize(
     "dim,in_ch,out_ch,spatial",
     [
