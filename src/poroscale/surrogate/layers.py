@@ -17,8 +17,10 @@ when its input is data.
 in_ch * k^d)`` float64 values, until the next forward call, because the
 weight gradient reuses it. On 12^3 patches the two Conv layers of the 3D
 network hold 27 * 12^3 * 8 B = 0.37 MB and 432 * 6^3 * 8 B = 0.75 MB per
-sample, so every forward pass, inference included, runs on a bounded
-batch (``Network.predict``).
+sample, and each ``MaxPool`` keeps its input, the Conv output before it
+(16 * 12^3 * 8 B = 0.22 MB per sample for the first), for its backward.
+So every forward pass, inference included, runs on a bounded batch
+(``Network.predict``).
 """
 
 from functools import reduce
