@@ -169,6 +169,8 @@ class MaxPool:
         first = np.zeros_like(out, dtype=np.int8)
         for s in reversed(range(len(slots))):
             np.putmask(first, slots[s] == out, s)
+        # C order: a channels-last gradient would reach Conv.backward as a
+        # transposed view and change the round-off of its products
         grad = np.empty(x.shape)
         for s, view in enumerate(self._slots(grad)):
             np.multiply(grad_out, first == s, out=view)

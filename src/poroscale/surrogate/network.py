@@ -8,8 +8,8 @@ patch regressors pair convolution/pool blocks with a dense head:
 
 each block being Conv(3^d, same) -> MaxPool(2^d, stride 2) -> ReLU, then
 Flatten -> Dense(512) -> Dropout -> Dense(n_out). ReLU after the pool
-gives the same values and gradients as before it, since max commutes
-with a monotone map, on 2^-d of the entries.
+gives the values and gradients of ReLU before it, since max commutes
+with a monotone map, and touches 2^-d of the entries.
 
 A saved model is a directory of NHAR array files
 (:mod:`poroscale.arrayio`): the arguments of :func:`build_network` and
