@@ -28,7 +28,7 @@ import numpy as np
 from .arrayio import read_member, write_members
 from .elasticity import n_strain_components, upper_triangle
 from .errors import FormatError, ParameterError
-from .homogenize import patch_ratio
+from .homogenize import cell_windows, patch_ratio
 
 logger = logging.getLogger(__name__)
 
@@ -157,18 +157,13 @@ class Dataset:
 def patch_input_array(fine_grid, coarse_cells, values):
     """Network inputs of every coarse cell of one nodal field, row-major.
 
-    Drops the field's far-edge node slice, so each cell keeps N_l^d of its
-    (N_l+1)^d nodes, and tiles the rest into (N_c, N_l, ..., N_l) by one
-    reshape and transpose.
+    Each cell's window of (N_l+1)^d nodes (:func:`cell_windows`) without
+    its far-edge slice, so the inputs have shape (N_c, N_l, ..., N_l).
     """
     d = fine_grid.dimension
-    n_l = patch_ratio(fine_grid, coarse_cells)
-    shaped = np.asarray(values, dtype=float).reshape(fine_grid.node_shape)
-    # (c_1, n_l, c_2, n_l, ...) -> (c_1, c_2, ..., n_l, n_l, ...)
-    split_axes = [n for c in coarse_cells for n in (c, n_l)]
-    cells = shaped[(slice(0, -1),) * d].reshape(split_axes)
-    order = [*range(0, 2 * d, 2), *range(1, 2 * d, 2)]
-    return cells.transpose(order).reshape((-1,) + (n_l,) * d)
+    windows = cell_windows(fine_grid, coarse_cells, values)
+    n_l = windows.shape[-1] - 1
+    return windows[(Ellipsis,) + (slice(0, -1),) * d].reshape((-1,) + (n_l,) * d)
 
 
 def build_dataset(fine_grid, coarse_cells, realizations, tensors, target):

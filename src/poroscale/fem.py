@@ -18,8 +18,9 @@ equal the physical ones.
 Every linear solve, by :class:`LUSolver` or by the band Cholesky of
 :mod:`poroscale.homogenize`, passes its residual to :func:`check_residual`.
 :class:`LUSolver` factors in the order it is given, with diagonal pivots;
-its caller orders the unknowns for low fill.
-:class:`DirichletSystem` takes distinct dofs, their values in the same order.
+its caller orders the unknowns for low fill. Dirichlet data are eliminated
+by index, by :class:`DirichletSystem` here and in the cell problems of
+:mod:`poroscale.homogenize`: only the free block is solved.
 """
 
 from functools import cached_property
@@ -269,60 +270,61 @@ class P1Space:
 
 
 class DirichletSystem:
-    """Symmetric elimination of a fixed set of distinct constrained dofs.
+    """Index elimination of a fixed set of distinct constrained dofs.
 
-    Constrained rows and columns of the matrix are zeroed and replaced by
-    identity rows once; any combination of right-hand side and prescribed
-    values, listed in the order of ``dofs``, can then be folded into a
-    matching reduced rhs, so one factorization serves many boundary data.
+    Keeps the free block A_FF, its dofs in the order they take in the
+    permutation ``order``, and the coupling A_FC. Any rhs and prescribed
+    values (listed in the order of ``dofs``) fold into a free-block rhs, so
+    one factorization serves many boundary data.
     """
 
-    def __init__(self, matrix, dofs):
+    def __init__(self, matrix, dofs, order):
         n = matrix.shape[0]
         dofs = np.atleast_1d(np.asarray(dofs, dtype=np.int64))
         if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
             raise ParameterError("constrained dof index out of range")
-        self.dofs = dofs
-        self.mask = np.ones(n)
-        self.mask[dofs] = 0.0
-        if np.count_nonzero(self.mask) != n - dofs.size:
+        if np.unique(dofs).size != dofs.size:
             raise ParameterError("constrained dofs must be distinct")
-        keep = sparse.diags(self.mask)
-        pin = sparse.coo_matrix(
-            (np.ones(dofs.size), (dofs, dofs)), shape=(n, n)
-        ).tocsr()
-        self.matrix = (keep @ matrix @ keep + pin).tocsr()
-        self._cols = matrix.tocsc()[:, dofs]
+        self.dofs = dofs
+        self.free = np.asarray(order)[~np.isin(order, dofs)]
+        rows = matrix.tocsr()[self.free]
+        self.matrix = rows[:, self.free].tocsc()
+        self._cols = rows[:, dofs]
 
     def fold_rhs(self, b, values):
-        """Reduced rhs for full-size ``b`` and prescribed ``values``.
+        """Free-block rhs ``b_F - A_FC values`` for full-size ``b``.
 
         Both may carry a trailing axis of several right-hand sides.
         """
         b = np.asarray(b, dtype=float)
-        values = np.asarray(values, dtype=float)
-        correction = self._cols @ values
-        out = (b - correction) * (
-            self.mask if b.ndim == 1 else self.mask[:, None]
-        )
+        return b[self.free] - self._cols @ np.asarray(values, dtype=float)
+
+    def expand(self, x, values):
+        """Full-size solution from free-block ``x`` and prescribed ``values``."""
+        out = np.empty((self.free.size + self.dofs.size,) + x.shape[1:])
+        out[self.free] = x
         out[self.dofs] = values
         return out
 
 
-def constrain_system(matrix, dofs, values):
+def constrain_system(matrix, dofs, values, order):
     """Eliminate distinct Dirichlet dofs with fixed prescribed values.
 
     ``values`` pairs with ``dofs`` in the given order, or is one scalar.
-    Returns ``(reduced_matrix, fold_rhs)`` where ``fold_rhs(b)`` folds the
-    values into any right-hand side.
+    Returns ``(reduced, fold, expand)``: the free block in ``order``,
+    ``fold(b)`` its rhs for a full-size ``b``, and ``expand(x)`` the
+    full-size solution of a free-block ``x``.
     """
-    system = DirichletSystem(matrix, dofs)
+    system = DirichletSystem(matrix, dofs, order)
     values = np.broadcast_to(np.asarray(values, dtype=float), system.dofs.shape)
 
-    def fold_rhs(b):
+    def fold(b):
         return system.fold_rhs(b, values)
 
-    return system.matrix, fold_rhs
+    def expand(x):
+        return system.expand(x, values)
+
+    return system.matrix, fold, expand
 
 
 # ----------------------------------------------------------------------

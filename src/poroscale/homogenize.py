@@ -14,12 +14,15 @@ forms the energy Gram matrix of the solutions; weighting its shear
 rows/columns by sqrt(2) yields the stored stiffness matrix convention of
 :mod:`poroscale.elasticity`.
 
-All cells share one patch grid, so a :class:`PatchEngine` builds the
-sparsity pattern of each operator once; a patch's matrix is then a sum of
-reference element matrices weighted by the element coefficient (at fixed
-Poisson ratio the isotropic stiffness is linear in Young's modulus). The
-boundary dofs are eliminated by index on one matrix A(c) per solve: with
-x0 the boundary data, zero inside, each problem solves A_II x_I = -(A x0)_I
+Every cell's nodal values come from one strided view of the fine field,
+:func:`cell_windows`, which also gives the network inputs of
+:mod:`poroscale.dataset`. All cells share one patch grid, so a
+:class:`PatchEngine` builds the sparsity pattern of each operator once; a
+patch's matrix is then a sum of reference element matrices weighted by the
+element coefficient (at fixed Poisson ratio the isotropic stiffness is
+linear in Young's modulus). The boundary dofs are eliminated by index, the
+one Dirichlet policy of the package, on one matrix A(c) per solve: with x0
+the boundary data, zero inside, each problem solves A_II x_I = -(A x0)_I
 with residual (A x)_I. In the natural order of the interior dofs A_II is an
 SPD band matrix of half-bandwidth kd (133 for diffusion, 401 for elasticity
 on a 12^3 patch), which LAPACK's band Cholesky factors in one zeroed buffer
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 from scipy.linalg import solveh_banded
 
@@ -44,20 +48,7 @@ from .elasticity import (
 from .errors import NumericError, ParameterError
 from .fem import P1Space, check_residual
 from .grid import StructuredGrid
-
-
-@dataclass
-class CellPatch:
-    """Material data of one coarse cell on the rescaled unit cube.
-
-    ``perm`` and ``young`` are nodal values on the shared patch grid,
-    flattened in C order.
-    """
-
-    cell_index: tuple
-    perm: np.ndarray
-    young: np.ndarray
-    eta: float
+from .random_field import PropertyFields
 
 
 def patch_ratio(fine_grid, coarse_cells):
@@ -82,28 +73,32 @@ def patch_grid(fine_grid, coarse_cells):
     return StructuredGrid((patch_ratio(fine_grid, coarse_cells),) * fine_grid.dimension)
 
 
+def cell_windows(fine_grid, coarse_cells, values):
+    """Nodal values of one field on every coarse cell, as one strided view.
+
+    Shape (c_1, ..., c_d, r+1, ..., r+1): windows of r+1 nodes at step r,
+    so each cell shares its boundary slices with its neighbours (node
+    overlap). It is a read-only view of the field.
+    """
+    r = patch_ratio(fine_grid, coarse_cells)
+    shaped = np.asarray(values, dtype=float).reshape(fine_grid.node_shape)
+    windows = sliding_window_view(shaped, (r + 1,) * fine_grid.dimension)
+    return windows[(slice(None, None, r),) * fine_grid.dimension]
+
+
 def extract_patches(fine_grid, coarse_cells, fields):
     """Restrict nodal fields to coarse cells, row-major cell order.
 
-    Returns ``(patch_grid, patches)`` with the patch grid on the unit cube.
-    Patches share boundary slices with their neighbours (node overlap).
+    Returns ``(patch_grid, patches)`` with the patch grid on the unit cube;
+    each patch is a :class:`PropertyFields` of nodal values on it, flattened
+    in C order.
     """
     grid = patch_grid(fine_grid, coarse_cells)
-    r = grid.cells_per_axis[0]
-    perm = np.asarray(fields.perm, dtype=float).reshape(fine_grid.node_shape)
-    young = np.asarray(fields.young, dtype=float).reshape(fine_grid.node_shape)
-    patches = []
-    for index in np.ndindex(*tuple(coarse_cells)):
-        window = tuple(slice(i * r, i * r + r + 1) for i in index)
-        patches.append(
-            CellPatch(
-                cell_index=index,
-                perm=perm[window].reshape(-1).copy(),
-                young=young[window].reshape(-1).copy(),
-                eta=fields.eta,
-            )
-        )
-    return grid, patches
+    perm, young = (
+        cell_windows(fine_grid, coarse_cells, v).reshape(-1, grid.n_nodes)
+        for v in (fields.perm, fields.young)
+    )
+    return grid, [PropertyFields(k, e, fields.eta) for k, e in zip(perm, young)]
 
 
 class CellOperator:

@@ -13,9 +13,10 @@ displacements node-major.
 The factor uses another order. The grid's nested-dissection node order
 (:attr:`poroscale.grid.StructuredGrid.dissection_order`) is expanded to
 blocks of d+1 unknowns, each node's pressure followed by its d
-displacement components. The constrained system is permuted into that
-order once and factored in it; each right-hand side is permuted in and
-each solution back, so states keep the global layout.
+displacement components. The fixed dofs are eliminated by index
+(:func:`poroscale.fem.constrain_system`): the free block, taken in that
+order, is factored once; each step folds the prescribed values into its
+right-hand side and expands the solution back to the global layout.
 
 Every solve uses one boundary setup: displacement component i is fixed at
 0 on the face x_i = 0 (rollers on left, bottom and, in 3D, back), the
@@ -129,14 +130,16 @@ def _march(grid, space, mobility_B, stiffness_A, constants, ts):
     Mm = space.assemble_mass(1.0 / constants.m_biot)
     D_pu, G_up = space.assemble_coupling(constants.alpha_biot)
 
-    system = sparse.bmat(
-        [[Mm / tau + mobility_B, D_pu / tau], [G_up, stiffness_A]], format="csr"
-    )
-    reduced, fold = constrain_system(system, *_fixed_dofs(grid, ts.p1))
     # each node in dissection order gives its pressure, then its d components
     nodes = grid.dissection_order[:, None]
     order = np.hstack([nodes, n_p + nodes * d + np.arange(d)]).ravel()
-    solver = LUSolver(reduced[order][:, order])
+    # the block system is built inline, so nothing holds it past elimination
+    reduced, fold, expand = constrain_system(
+        sparse.bmat([[Mm / tau + mobility_B, D_pu / tau], [G_up, stiffness_A]]),
+        *_fixed_dofs(grid, ts.p1),
+        order,
+    )
+    solver = LUSolver(reduced)
 
     if constants.source != 0.0:
         F = constants.source * (space.assemble_mass(1.0) @ np.ones(n_p))
@@ -148,12 +151,10 @@ def _march(grid, space, mobility_B, stiffness_A, constants, ts):
     u = np.zeros(n_p * d)
 
     states = [PoroState(p=p.copy(), u=u.copy(), time=0.0)]
-    rhs = np.empty(n_p + n_p * d)
+    rhs = np.zeros(n_p + n_p * d)
     for n in range(1, ts.n_steps + 1):
         rhs[:n_p] = F + (Mm @ p) / tau + (D_pu @ u) / tau
-        rhs[n_p:] = 0.0
-        sol = np.empty_like(rhs)
-        sol[order] = solver.solve(fold(rhs)[order])
+        sol = expand(solver.solve(fold(rhs)))
         p = sol[:n_p]
         u = sol[n_p:]
         states.append(PoroState(p=p.copy(), u=u.copy(), time=n * tau))

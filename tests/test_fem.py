@@ -163,8 +163,9 @@ def laplace_error(n):
     f = 2.0 * np.pi**2 * exact
     A = space.assemble_diffusion(1.0)
     M = space.assemble_mass(1.0)
-    reduced, fold = constrain_system(A, grid.all_boundary_nodes(), 0.0)
-    u = LUSolver(reduced).solve(fold(M @ f))
+    bnodes, natural = grid.all_boundary_nodes(), np.arange(grid.n_nodes)
+    reduced, fold, expand = constrain_system(A, bnodes, 0.0, natural)
+    u = expand(LUSolver(reduced).solve(fold(M @ f)))
     err = u - exact
     return float(np.sqrt(err @ (M @ err)))
 
@@ -213,15 +214,16 @@ def test_lusolver_reuse():
 
 
 def test_dirichlet_elimination_exactness():
-    # pinned dofs take their values; free dofs solve the reduced equations
+    # fixed dofs take their values; free dofs solve the reduced equations
     grid = StructuredGrid((6, 6))
     space = P1Space(grid)
     A = space.assemble_diffusion(1.0)
     x, y = grid.node_coords.T
     exact = 2.0 * x - 0.5 * y + 0.25  # harmonic, so zero interior residual
     bnodes = grid.all_boundary_nodes()
-    reduced, fold = constrain_system(A, bnodes, exact[bnodes])
-    u = LUSolver(reduced).solve(fold(np.zeros(grid.n_nodes)))
+    natural = np.arange(grid.n_nodes)
+    reduced, fold, expand = constrain_system(A, bnodes, exact[bnodes], natural)
+    u = expand(LUSolver(reduced).solve(fold(np.zeros(grid.n_nodes))))
     assert np.allclose(u, exact, atol=1e-9)
 
 
@@ -229,12 +231,15 @@ def test_dirichlet_system_multi_rhs():
     grid = StructuredGrid((4, 4))
     A = P1Space(grid).assemble_diffusion(1.0)
     bnodes = grid.all_boundary_nodes()
-    system = DirichletSystem(A, bnodes)
+    system = DirichletSystem(A, bnodes, np.arange(grid.n_nodes))
     rng = np.random.default_rng(43)
     vals = rng.normal(size=(bnodes.size, 2))
     rhs = system.fold_rhs(np.zeros((grid.n_nodes, 2)), vals)
-    sol = LUSolver(system.matrix).solve(rhs)
+    sol = system.expand(LUSolver(system.matrix).solve(rhs), vals)
     assert np.allclose(sol[bnodes], vals, atol=1e-12)
+    # zero source: each column is the discrete harmonic extension of its data
+    interior = np.setdiff1d(np.arange(grid.n_nodes), bnodes)
+    assert np.allclose((A @ sol)[interior], 0.0, atol=1e-12)
     one = system.fold_rhs(np.zeros(grid.n_nodes), vals[:, 0])
     assert np.allclose(one, rhs[:, 0], atol=1e-14)
 
@@ -242,15 +247,15 @@ def test_dirichlet_system_multi_rhs():
 def test_repeated_constraints_raise():
     A = sparse.eye(3, format="csr")
     with pytest.raises(ParameterError):
-        constrain_system(A, [0, 0], [1.0, 1.0])
+        constrain_system(A, [0, 0], [1.0, 1.0], np.arange(3))
     with pytest.raises(ParameterError):
-        DirichletSystem(A, [2, 0, 2])
+        DirichletSystem(A, [2, 0, 2], np.arange(3))
 
 
 def test_unsorted_constraints_keep_their_values():
     A = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(3, 3), format="csr")
-    reduced, fold = constrain_system(A, [2, 0], [6.0, 3.0])
-    x = LUSolver(reduced).solve(fold(np.zeros(3)))
+    reduced, fold, expand = constrain_system(A, [2, 0], [6.0, 3.0], np.arange(3))
+    x = expand(LUSolver(reduced).solve(fold(np.zeros(3))))
     assert x[[0, 2]] == pytest.approx([3.0, 6.0])
     assert x[1] == pytest.approx(4.5)
 
@@ -258,6 +263,38 @@ def test_unsorted_constraints_keep_their_values():
 def test_constraint_index_validation():
     A = sparse.eye(3, format="csr")
     with pytest.raises(ParameterError):
-        constrain_system(A, [3], [0.0])
+        constrain_system(A, [3], [0.0], np.arange(3))
     with pytest.raises(ParameterError):
-        DirichletSystem(A, [-1])
+        DirichletSystem(A, [-1], np.arange(3))
+
+
+def test_index_elimination_keeps_the_free_block_in_order():
+    # the free dofs keep the order they take in ``order``; the fixed ones
+    # leave the system, and their values return through fold and expand
+    rng = np.random.default_rng(45)
+    n = 7
+    Q = rng.normal(size=(n, n))
+    A = sparse.csr_matrix(Q @ Q.T + n * np.eye(n))
+    dofs = np.array([5, 1])
+    values = np.array([2.0, -3.0])
+    order = np.array([6, 1, 3, 0, 5, 2, 4])
+    free = np.array([6, 3, 0, 2, 4])
+    reduced, fold, expand = constrain_system(A, dofs, values, order)
+    dense = A.toarray()
+    assert reduced.shape == (n - dofs.size, n - dofs.size)
+    assert np.array_equal(reduced.toarray(), dense[free][:, free])
+    b = rng.normal(size=n)
+    assert np.allclose(
+        fold(b), b[free] - dense[free][:, dofs] @ values, rtol=0.0, atol=1e-13
+    )
+    x = rng.normal(size=free.size)
+    full = expand(x)
+    assert np.array_equal(full[dofs], values)
+    assert np.array_equal(full[free], x)
+    # the reduced solve is the constrained solution of the full system
+    sol = expand(LUSolver(reduced).solve(fold(b)))
+    assert np.allclose((dense @ sol - b)[free], 0.0, atol=1e-12)
+    with pytest.raises(ParameterError):
+        constrain_system(A, [1, 1], [0.0, 0.0], order)
+    with pytest.raises(ParameterError):
+        constrain_system(A, [n], [0.0], order)

@@ -12,7 +12,7 @@ from poroscale.elasticity import (
     unit_strain_tensor,
 )
 from poroscale.errors import NumericError, ParameterError
-from poroscale.fem import SOLVE_TOL, LUSolver, P1Space, constrain_system
+from poroscale.fem import SOLVE_TOL, DirichletSystem, LUSolver, P1Space
 from poroscale.grid import StructuredGrid
 from poroscale.homogenize import (
     EffectiveTensors,
@@ -178,10 +178,15 @@ def test_extract_patches_windows():
     patch_grid, patches = extract_patches(fine, (2, 2), fields)
     assert patch_grid.cells_per_axis == (4, 4)
     assert len(patches) == 4
-    assert [p.cell_index for p in patches] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     grid_vals = perm.reshape(9, 9)
+    young_vals = young.reshape(9, 9)
+    # row-major cell order: cell (i, j) holds nodes [4i, 4i+4] x [4j, 4j+4]
+    assert np.array_equal(patches[0].perm, grid_vals[0:5, 0:5].ravel())
     assert np.allclose(patches[1].perm, grid_vals[0:5, 4:9].ravel())
     assert np.allclose(patches[2].perm, grid_vals[4:9, 0:5].ravel())
+    assert np.array_equal(patches[3].perm, grid_vals[4:9, 4:9].ravel())
+    assert np.array_equal(patches[0].young, young_vals[0:5, 0:5].ravel())
+    assert np.array_equal(patches[3].young, young_vals[4:9, 4:9].ravel())
     assert patches[0].eta == 0.3
 
 
@@ -239,12 +244,10 @@ def reference_permeability(space, k, where):
     grid = space.grid
     A = space.assemble_diffusion(k, where=where)
     bnodes = grid.all_boundary_nodes()
-    rhs = np.empty((grid.n_nodes, grid.dimension))
-    for j in range(grid.dimension):
-        # the reduced matrix does not depend on the prescribed values
-        reduced, fold = constrain_system(A, bnodes, grid.node_coords[bnodes, j])
-        rhs[:, j] = fold(np.zeros(grid.n_nodes))
-    psi = LUSolver(reduced).solve(rhs)
+    system = DirichletSystem(A, bnodes, np.arange(grid.n_nodes))
+    values = grid.node_coords[bnodes]  # column j holds psi_j = x_j
+    rhs = system.fold_rhs(np.zeros((grid.n_nodes, grid.dimension)), values)
+    psi = system.expand(LUSolver(system.matrix).solve(rhs), values)
     grads = space.class_gradients[grid.element_class]
     gpsi = np.einsum("eia,eil->eal", grads, psi[grid.elements])
     k_e = space.element_values(k, where=where)
@@ -261,12 +264,16 @@ def reference_elasticity(space, young, eta, where):
     bnodes = grid.all_boundary_nodes()
     vdofs = (bnodes[:, None] * d + np.arange(d)).reshape(-1)
     pairs = strain_component_pairs(d)
-    rhs = np.empty((grid.n_nodes * d, len(pairs)))
-    for I, pair in enumerate(pairs):
-        values = (grid.node_coords[bnodes] @ unit_strain_tensor(pair, d).T).ravel()
-        reduced, fold = constrain_system(A, vdofs, values)
-        rhs[:, I] = fold(np.zeros(A.shape[0]))
-    phi = LUSolver(reduced).solve(rhs)
+    values = np.stack(
+        [
+            (grid.node_coords[bnodes] @ unit_strain_tensor(pair, d).T).ravel()
+            for pair in pairs
+        ],
+        axis=-1,
+    )
+    system = DirichletSystem(A, vdofs, np.arange(A.shape[0]))
+    rhs = system.fold_rhs(np.zeros((A.shape[0], len(pairs))), values)
+    phi = system.expand(LUSolver(system.matrix).solve(rhs), values)
     w = mandel_weights(d)
     raw = np.outer(w, w) * (phi.T @ (A @ phi))  # the unit cube has volume 1
     return 0.5 * (raw + raw.T)
