@@ -267,8 +267,7 @@ def _loss_csv(history, path):
 def train_stage(config, layout):
     """Train one network per target; store weights and loss history."""
     layout.dir("models")
-    times = {}
-    summary = {}
+    times, steps, summary = {}, {}, {}
     for target in TARGETS:
         _require(layout.dataset_path(target), "build-dataset")
         ds = load_dataset(layout.dataset_path(target))
@@ -284,6 +283,7 @@ def train_stage(config, layout):
         t0 = time.perf_counter()
         history = train(network, parts["train"], parts["val"], settings)
         times[target] = time.perf_counter() - t0
+        steps[target] = settings.epochs * -(-len(parts["train"]) // settings.batch_size)
         save_network(network, layout.model_path(target))
         _loss_csv(history, layout.loss_path(target))
         summary[target] = {
@@ -292,7 +292,10 @@ def train_stage(config, layout):
             "final_val_mse": history[-1][2] if history else None,
             "train_s": times[target],
         }
-    _write_timing(layout, "train", {"offline_train_s": times})
+    # mean seconds per optimizer step, the per-epoch validation passes included
+    record = {"offline_train_s": times, "optimizer_steps": steps}
+    record["mean_step_s"] = {t: times[t] / n if n else None for t, n in steps.items()}
+    _write_timing(layout, "train", record)
     return summary
 
 

@@ -5,7 +5,9 @@ Every layer exposes ``forward(x, train=False, rng=None)`` and
 and ``grads`` lists (same order, same shapes). Arrays are float64
 throughout, activations are ``(batch, channels, *spatial)``. ``Conv``
 writes its output channels-last and returns that shape as a view, which
-the layers after it read by shape alone.
+the layers after it read by shape alone. Gradients flow back in that
+memory order too: ``MaxPool.backward`` and the col2im of ``Conv.backward``
+run channels-last.
 
 Backward calls consume the cache left by the most recent forward call.
 Trainable layers take ``backward(grad_out, input_grad=True)``: with
@@ -85,26 +87,29 @@ class Conv:
     def backward(self, grad_out, input_grad=True):
         d, k = self.dim, self.kernel
         out_ch, in_ch = self.weight.shape[:2]
-        self.grads[1][...] = grad_out.sum(axis=(0,) + tuple(range(2, 2 + d)))
-        # (out_ch, batch * spatial), columns in the column matrix's row order
-        g = np.moveaxis(grad_out, 1, 0).reshape(out_ch, -1)
+        batch, spatial = grad_out.shape[0], grad_out.shape[2:]
+        # (out_ch, batch * spatial) in the column matrix's row order, copied C
+        # order so the round-off does not depend on grad_out's memory order
+        g = np.ascontiguousarray(np.moveaxis(grad_out, 1, 0)).reshape(out_ch, -1)
+        # bias: sums over space per sample, then a running sum over the batch
+        per_sample = np.add.reduce(g.reshape(out_ch, batch, -1), axis=2).T.copy()
+        np.add.reduce(per_sample, axis=0, out=self.grads[1])
         # dW[o, c, u] = sum_{b, s} grad[b, o, s] * x_pad[b, c, s + u]
-        self.grads[0][...] = (g @ self._cols).reshape(self.weight.shape)
+        np.matmul(g, self._cols, out=self.grads[0].reshape(out_ch, -1))
         if not input_grad:
             return None
-        # column gradient (in_ch, *kernel, batch, *spatial); window offset u
-        # of every column adds back onto the padded input at s + u (col2im)
-        batch, spatial = grad_out.shape[0], grad_out.shape[2:]
+        # column gradient (in_ch, k^d, batch, *spatial): offset u's columns add
+        # back, channels-last, onto the padded input at s + u (col2im)
         col_grad = (self.weight.reshape(out_ch, -1).T @ g).reshape(
-            (in_ch,) + (k,) * d + (batch,) + spatial
+            (in_ch, -1, batch) + spatial
         )
-        padded = np.zeros((in_ch, batch) + tuple(n + k - 1 for n in spatial))
-        for u in np.ndindex(*(k,) * d):
+        padded = np.zeros((batch,) + tuple(n + k - 1 for n in spatial) + (in_ch,))
+        for u, cols in zip(np.ndindex(*(k,) * d), np.moveaxis(col_grad, 0, -1)):
             window = tuple(slice(o, o + n) for o, n in zip(u, spatial))
-            padded[(slice(None), slice(None)) + window] += col_grad[(slice(None),) + u]
+            padded[(slice(None),) + window] += cols
         p = k // 2
         inner = tuple(slice(p, p + n) for n in spatial)
-        return np.swapaxes(padded[(slice(None), slice(None)) + inner], 0, 1)
+        return np.moveaxis(padded[(slice(None),) + inner], -1, 1)
 
     def __repr__(self):
         out_ch, in_ch = self.weight.shape[:2]
@@ -147,34 +152,34 @@ class MaxPool:
         self._cache = None
 
     def _slots(self, x):
-        """The 2^d strided views ``x[..., i0::2, i1::2(, i2::2)]``, C order."""
+        """The 2^d strided views ``x[:, i0::2, i1::2(, i2::2)]``, C order."""
         return [
-            x[(Ellipsis,) + tuple(slice(i, None, 2) for i in offset)]
+            x[(slice(None),) + tuple(slice(i, None, 2) for i in offset)]
             for offset in np.ndindex(*(2,) * self.dim)
         ]
 
     def forward(self, x, train=False, rng=None):
         spatial = x.shape[2:]
+        x = np.moveaxis(x, 1, -1)  # channels-last, as a Conv output is in memory
         if any(n % 2 for n in spatial):
-            pad = [(0, 0), (0, 0)] + [(0, n % 2) for n in spatial]
+            pad = [(0, 0)] + [(0, n % 2) for n in spatial] + [(0, 0)]
             x = np.pad(x, pad, constant_values=-np.inf)
         out = reduce(np.maximum, self._slots(x))
         self._cache = (x, out, spatial)
-        return out
+        return np.moveaxis(out, -1, 1)
 
     def backward(self, grad_out):
         x, out, spatial = self._cache
-        slots = self._slots(x)
-        # first maximal slot per output: later slots are overwritten by earlier
-        first = np.zeros_like(out, dtype=np.int8)
-        for s in reversed(range(len(slots))):
-            np.putmask(first, slots[s] == out, s)
-        # C order: a channels-last gradient would reach Conv.backward as a
-        # transposed view and change the round-off of its products
+        grad_out = np.moveaxis(grad_out, 1, -1)
         grad = np.empty(x.shape)
-        for s, view in enumerate(self._slots(grad)):
-            np.multiply(grad_out, first == s, out=view)
-        return grad[(Ellipsis,) + tuple(slice(0, n) for n in spatial)]
+        # the first maximal slot in C order takes the gradient; `free` marks
+        # the outputs that no earlier slot took
+        free = np.ones(out.shape, dtype=bool)
+        for slot, view in zip(self._slots(x), self._slots(grad)):
+            hit = (slot == out) & free
+            free ^= hit
+            np.multiply(grad_out, hit, out=view)
+        return np.moveaxis(grad[tuple(map(slice, grad.shape[:1] + spatial))], -1, 1)
 
     def __repr__(self):
         return f"MaxPool({self.dim}d)"
@@ -215,8 +220,8 @@ class Dense:
         return x @ self.weight + self.bias
 
     def backward(self, grad_out, input_grad=True):
-        self.grads[0][...] = self._x.T @ grad_out
-        self.grads[1][...] = grad_out.sum(axis=0)
+        np.matmul(self._x.T, grad_out, out=self.grads[0])
+        np.sum(grad_out, axis=0, out=self.grads[1])
         return grad_out @ self.weight.T if input_grad else None
 
     def __repr__(self):

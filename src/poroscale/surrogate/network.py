@@ -37,6 +37,7 @@ DEFAULT_DROPOUT = 0.1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+ADAM_BLOCK = 16384  # elements per in-place update block, 128 kB of float64
 # samples per forward pass of Network.predict
 INFERENCE_CHUNK = 64
 
@@ -138,7 +139,11 @@ def build_network(dim, patch, n_out, dropout=DEFAULT_DROPOUT, seed=0):
 
 
 class Adam:
-    """Bias-corrected first/second-moment updates applied in place."""
+    """Bias-corrected first/second-moment updates applied in place.
+
+    A step runs block by block through two scratch blocks, in the unblocked
+    update's order of operations, with no full-size temporaries.
+    """
 
     def __init__(self, network, learning_rate):
         if not learning_rate > 0:
@@ -148,21 +153,33 @@ class Adam:
         self.first = [np.zeros_like(p) for p in network.params]
         self.second = [np.zeros_like(p) for p in network.params]
         self.step_count = 0
+        scratch = np.empty((2, ADAM_BLOCK))
+        self._blocks = []  # views (param, grad, m, v, scratch, scratch)
+        for arrays in zip(network.params, network.grads, self.first, self.second):
+            flat = [a.reshape(-1) for a in arrays]
+            for s in range(0, flat[0].size, ADAM_BLOCK):
+                block = [a[s : s + ADAM_BLOCK] for a in flat]
+                self._blocks.append(block + list(scratch[:, : block[0].size]))
 
     def step(self):
         self.step_count += 1
         correct1 = 1.0 - ADAM_BETA1**self.step_count
         correct2 = 1.0 - ADAM_BETA2**self.step_count
-        for p, g, m, v in zip(
-            self.network.params, self.network.grads, self.first, self.second
-        ):
+        for p, g, m, v, t, u in self._blocks:
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            np.multiply(1.0 - ADAM_BETA1, g, t)
+            m += t
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= self.learning_rate * (m / correct1) / (
-                np.sqrt(v / correct2) + ADAM_EPSILON
-            )
+            np.multiply(1.0 - ADAM_BETA2, g, t)
+            t *= g
+            v += t
+            np.divide(v, correct2, t)
+            np.sqrt(t, t)
+            t += ADAM_EPSILON
+            np.divide(m, correct1, u)
+            u *= self.learning_rate
+            u /= t
+            p -= u
 
 
 def save_network(network, path):

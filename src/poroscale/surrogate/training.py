@@ -78,15 +78,15 @@ def train(network, train_set, val_set, config):
         for start in range(0, total, config.batch_size):
             idx = order[start : start + config.batch_size]
             diff = network.forward(x_train[idx], train=True, rng=rng) - y_train[idx]
-            loss = float(np.mean(diff**2))
-            if not np.isfinite(loss):
+            batch_squared = float(np.sum(diff**2))
+            if not np.isfinite(batch_squared):
                 raise NumericError(
                     f"loss is not finite at epoch {epoch}, "
                     f"batch offset {start} (batch size {idx.size})"
                 )
             network.backward(2.0 * diff / diff.size, input_grad=False)
             adam.step()
-            squared_sum += float(np.sum(diff**2))
+            squared_sum += batch_squared
         train_mse = squared_sum / y_train.size
         val_diff = network.predict(x_val) - y_val
         history.append((epoch, train_mse, float(np.mean(val_diff**2))))

@@ -320,6 +320,11 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
         assert set(homogenize[key]) == {"permeability", "elasticity"}
         assert min(homogenize[key].values()) > 0
     assert layout.timing_path("build-dataset").exists()
+    trained = json.loads(layout.timing_path("train").read_text("utf-8"))
+    for target, steps in trained["optimizer_steps"].items():
+        assert steps > 0
+        seconds = trained["offline_train_s"][target]
+        assert trained["mean_step_s"][target] == pytest.approx(seconds / steps)
     evaluate = json.loads(layout.timing_path("evaluate").read_text("utf-8"))
     assert set(evaluate["per_target_s"]) == {"permeability", "elasticity"}
     assert evaluate["total_s"] >= sum(evaluate["per_target_s"].values()) > 0.0

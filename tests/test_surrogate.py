@@ -1,5 +1,9 @@
 """Layers, gradients, Adam, the training loop, and tensor prediction."""
 
+import tracemalloc
+from functools import reduce
+from math import prod
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -103,6 +107,74 @@ def naive_pool(x):
     return out
 
 
+def reference_conv_backward(weight, x, grad_out):
+    """Conv's dW, db and input gradient, col2im window by window.
+
+    Works on a C-ordered copy of ``grad_out`` and adds the column gradient
+    back into a channels-first padded buffer, one window offset at a time.
+    """
+    d = x.ndim - 2
+    out_ch, in_ch, k = weight.shape[0], weight.shape[1], weight.shape[2]
+    p = k // 2
+    grad_out = np.ascontiguousarray(grad_out)
+    batch, spatial = grad_out.shape[0], grad_out.shape[2:]
+    padded_x = np.pad(np.moveaxis(x, 1, -1), [(0, 0)] + [(p, p)] * d + [(0, 0)])
+    win = sliding_window_view(padded_x, (k,) * d, tuple(range(1, 1 + d)))
+    cols = win.reshape(batch * prod(spatial), -1)
+    d_bias = grad_out.sum(axis=(0,) + tuple(range(2, 2 + d)))
+    g = np.moveaxis(grad_out, 1, 0).reshape(out_ch, -1)
+    d_weight = (g @ cols).reshape(weight.shape)
+    col_grad = (weight.reshape(out_ch, -1).T @ g).reshape(
+        (in_ch,) + (k,) * d + (batch,) + spatial
+    )
+    padded = np.zeros((in_ch, batch) + tuple(n + k - 1 for n in spatial))
+    for u in np.ndindex(*(k,) * d):
+        window = tuple(slice(o, o + n) for o, n in zip(u, spatial))
+        padded[(slice(None), slice(None)) + window] += col_grad[(slice(None),) + u]
+    inner = tuple(slice(p, p + n) for n in spatial)
+    grad_in = np.swapaxes(padded[(slice(None), slice(None)) + inner], 0, 1)
+    return d_weight, d_bias, grad_in
+
+
+def reference_pool_backward(x, grad_out):
+    """MaxPool's input gradient from an index array of first maximal slots.
+
+    The gradient is built C-ordered from channels-first strided views.
+    """
+    spatial = x.shape[2:]
+    if any(n % 2 for n in spatial):
+        pad = [(0, 0), (0, 0)] + [(0, n % 2) for n in spatial]
+        x = np.pad(x, pad, constant_values=-np.inf)
+    offsets = list(np.ndindex(*(2,) * len(spatial)))
+    views = [(Ellipsis,) + tuple(slice(i, None, 2) for i in o) for o in offsets]
+    slots = [x[v] for v in views]
+    out = reduce(np.maximum, slots)
+    first = np.zeros(out.shape, dtype=np.int8)
+    for s in reversed(range(len(slots))):
+        np.putmask(first, slots[s] == out, s)
+    grad = np.empty(x.shape)
+    for s, view in enumerate(views):
+        np.multiply(grad_out, first == s, out=grad[view])
+    return grad[(Ellipsis,) + tuple(slice(0, n) for n in spatial)]
+
+
+def reference_adam_step(params, grads, first, second, step_count, lr):
+    """One unblocked Adam update with full-size temporaries."""
+    correct1 = 1.0 - ADAM_BETA1**step_count
+    correct2 = 1.0 - ADAM_BETA2**step_count
+    for p, g, m, v in zip(params, grads, first, second):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPSILON)
+
+
+def channels_last(a):
+    """``a`` with the same shape and values, channel axis innermost in memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 1, -1)), -1, 1)
+
+
 def fd_worst_error(network, x, probes_per_array=4, seed=0, eps=1e-6):
     """Central-difference check of every parameter array and the input."""
     rng = np.random.default_rng(seed)
@@ -179,6 +251,60 @@ def test_conv_matches_tensordot_reference(dim, in_ch, out_ch, spatial):
     for got, want in zip(layer.grads + [got_in], (d_weight, d_bias, grad_in)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("layout", ["c-order", "channels-last"])
+@pytest.mark.parametrize(
+    "dim,in_ch,out_ch,spatial,batch",
+    [
+        (2, 1, 8, (8, 8), 16),
+        (2, 8, 16, (8, 8), 16),
+        (2, 32, 64, (1, 1), 16),
+        (2, 3, 4, (5, 7), 3),
+        (3, 1, 16, (6, 6, 6), 2),
+        (3, 16, 32, (6, 6, 6), 5),
+        (3, 16, 32, (3, 3, 3), 13),
+        (3, 2, 3, (3, 5, 4), 2),
+    ],
+)
+def test_conv_backward_matches_window_by_window(
+    dim, in_ch, out_ch, spatial, batch, layout
+):
+    rng = np.random.default_rng(38)
+    layer = Conv(dim, in_ch, out_ch, rng=rng)
+    x = rng.normal(size=(batch, in_ch) + spatial)
+    grad_out = rng.normal(size=layer.forward(x).shape)
+    if layout == "channels-last":
+        grad_out = channels_last(grad_out)
+    d_weight, d_bias, grad_in = reference_conv_backward(layer.weight, x, grad_out)
+    got_in = layer.backward(grad_out)
+    np.testing.assert_array_equal(layer.grads[0], d_weight)
+    np.testing.assert_array_equal(layer.grads[1], d_bias)
+    np.testing.assert_array_equal(got_in, grad_in)
+
+
+@pytest.mark.parametrize("grad_layout", ["c-order", "channels-last"])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+@pytest.mark.parametrize(
+    "spatial",
+    [(8, 6), (5, 7), (4, 6, 2), (3, 5, 4)],
+    ids=["8x6", "5x7", "4x6x2", "3x5x4"],
+)
+def test_pool_backward_matches_first_slot_index(spatial, ties, grad_layout):
+    rng = np.random.default_rng(39)
+    # a Conv output: channels-last in memory
+    x = channels_last(rng.normal(size=(3, 4) + spatial))
+    if ties:
+        x = np.round(x)
+    layer = MaxPool(len(spatial))
+    out = layer.forward(x)
+    np.testing.assert_array_equal(out, naive_pool(x))
+    grad_out = rng.normal(size=out.shape)
+    if grad_layout == "channels-last":
+        grad_out = channels_last(grad_out)
+    np.testing.assert_array_equal(
+        layer.backward(grad_out), reference_pool_backward(x, grad_out)
+    )
 
 
 def test_backward_without_input_gradient():
@@ -435,6 +561,38 @@ def test_adam_first_step_is_normalized_gradient():
     for p0, p1, g in zip(before, net.params, (g_w, g_b)):
         want = lr * g / (np.abs(g) + ADAM_EPSILON)
         np.testing.assert_allclose(p0 - p1, want, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim,patch", [(2, 16), (3, 12)])
+def test_blocked_adam_matches_unblocked_update(dim, patch):
+    net = build_network(dim, patch, 6, seed=40)
+    params = [p.copy() for p in net.params]
+    first = [np.zeros_like(p) for p in params]
+    second = [np.zeros_like(p) for p in params]
+    adam = Adam(net, 1e-3)
+    rng = np.random.default_rng(41)
+    for step in range(1, 4):
+        for g in net.grads:
+            g[...] = rng.normal(size=g.shape)
+        adam.step()
+        reference_adam_step(params, net.grads, first, second, step, 1e-3)
+        for got, want in zip(net.params, params):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_adam_step_allocates_no_full_size_temporaries():
+    # the 3D network's dense layer alone holds 442k parameters (3.5 MB)
+    net = build_network(3, 12, 6)
+    adam = Adam(net, 1e-3)
+    for g in net.grads:
+        g[...] = 1.0
+    tracemalloc.start()
+    try:
+        adam.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_adam_minimizes_quadratic():
