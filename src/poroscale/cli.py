@@ -104,11 +104,11 @@ def main(argv=None):
         config = resolve_config(args)
         layout = RunLayout(config.workdir)
         if args.command == "solve-coarse":
-            summary = solve_coarse_stage(config, layout, args.tensors)
+            record = solve_coarse_stage(config, layout, args.tensors)
         else:
-            summary = _STAGES[args.command][0](config, layout)
+            record = _STAGES[args.command][0](config, layout)
         print(f"poroscale {args.command}: ok")
-        print(json.dumps(summary, indent=2, sort_keys=True, default=str))
+        print(json.dumps(record, indent=2, sort_keys=True))
         return 0
     except PoroscaleError as exc:
         print(f"poroscale {args.command}: error: {exc}", file=sys.stderr)

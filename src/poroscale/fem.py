@@ -122,9 +122,9 @@ class P1Space:
     # ------------------------------------------------------------------
     # assembly
 
-    def assemble_mass(self, coeff=1.0, where="node"):
-        """Mass matrix of the form integral(c * p * q), exact for P1."""
-        ce = self.element_values(coeff, where)
+    def assemble_mass(self, coeff=1.0):
+        """Mass matrix of integral(c * p * q), exact for P1; c scalar or nodal."""
+        ce = self.element_values(coeff)
         d = self.d
         vol = self.grid.element_volume
         base = vol / ((d + 1) * (d + 2)) * (np.eye(d + 1) + 1.0)

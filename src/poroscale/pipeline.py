@@ -1,11 +1,18 @@
 """Pipeline stages over a run directory.
 
-Each stage reads the artifacts of earlier stages from the run directory,
-writes its own in documented formats, and records wall times under
-``timing/``. Realizations 0 .. M-1 form the training corpus; the next
-``n_test_realizations`` indices are held-out domains used for the solve
-and report stages. All stages are deterministic given the configuration,
-so reruns reproduce every artifact byte for byte (timing files excluded).
+Each stage reads the artifacts of earlier stages from the run directory
+and writes its own in documented formats. Realizations 0 .. M-1 form the
+training corpus; the next ``n_test_realizations`` indices are held-out
+domains used for the solve and report stages. All stages are
+deterministic given the configuration, so reruns reproduce every artifact
+byte for byte (timing files excluded).
+
+Every stage keeps one record, a flat JSON object: ``stage`` (the stage
+name), ``total_s`` (its wall time), one ``<span>_s`` entry per timed span
+(a number, or one number per realization index or target) and its counts,
+such as ``kl_terms``, ``sizes`` or ``optimizer_steps``. A stage that
+finishes writes the record to ``timing/<stage>.json`` and returns it, and
+the CLI prints it; a stage that fails writes none.
 
 Layout inside the run directory:
 
@@ -21,6 +28,7 @@ Layout inside the run directory:
     report/errors.csv, report/summary.txt
 """
 
+import contextlib
 import dataclasses
 import json
 import time
@@ -131,12 +139,36 @@ def _require(path, command):
         raise PipelineError(f"missing {path}; run `poroscale {command}` first")
 
 
-def _write_timing(layout, stage, payload):
+class StageRecord(dict):
+    """One stage's record: counts as plain items, spans as ``<name>_s``."""
+
+    def put(self, name, key, value):
+        """Set ``self[name][str(key)]``, one entry per index or target."""
+        self.setdefault(name, {})[str(key)] = value
+
+    @contextlib.contextmanager
+    def span(self, name, key=None):
+        """Time the block as ``<name>_s``, or as its entry ``key``."""
+        t0 = time.perf_counter()
+        yield
+        seconds = time.perf_counter() - t0
+        if key is None:
+            self[f"{name}_s"] = seconds
+        else:
+            self.put(f"{name}_s", key, seconds)
+
+
+@contextlib.contextmanager
+def _stage(layout, name):
+    """Yield the stage's record; on normal exit time it and write it."""
+    record = StageRecord()
+    t0 = time.perf_counter()
+    yield record
+    record["stage"] = name
+    record["total_s"] = time.perf_counter() - t0
     layout.dir("timing")
-    payload = dict(payload)
-    payload["stage"] = stage
-    with open(layout.timing_path(stage), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    with open(layout.timing_path(name), "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -171,90 +203,64 @@ def load_tensors(layout, config, index, source=DIRECT):
 
 def generate_fields_stage(config, layout):
     """Sample every realization's property fields and store them."""
-    t_start = time.perf_counter()
-    grid = StructuredGrid(config.fine_cells)
-    basis = build_kl_basis(grid, config.field)
-    layout.dir("fields")
-    for index in all_indices(config):
-        values = sample_field(basis, config.realization_seed(index))
-        fields = field_to_properties(values, config.props)
-        write_array(layout.field_path(index, "perm"), fields.perm)
-        write_array(layout.field_path(index, "young"), fields.young)
-    total = time.perf_counter() - t_start
-    _write_timing(
-        layout,
-        "generate-fields",
-        {
-            "total_s": total,
-            "n_realizations": len(all_indices(config)),
-            "kl_terms": basis.n_terms,
-        },
-    )
-    return {
-        "n_realizations": len(all_indices(config)),
-        "kl_terms": basis.n_terms,
-        "captured_energy": basis.captured_fraction,
-        "total_s": total,
-    }
+    with _stage(layout, "generate-fields") as record:
+        grid = StructuredGrid(config.fine_cells)
+        basis = build_kl_basis(grid, config.field)
+        layout.dir("fields")
+        for index in all_indices(config):
+            values = sample_field(basis, config.realization_seed(index))
+            fields = field_to_properties(values, config.props)
+            write_array(layout.field_path(index, "perm"), fields.perm)
+            write_array(layout.field_path(index, "young"), fields.young)
+        record["n_realizations"] = len(all_indices(config))
+        record["kl_terms"] = basis.n_terms
+        record["captured_energy"] = basis.captured_fraction
+    return record
 
 
 def homogenize_stage(config, layout):
     """Direct local solves: effective tensors for every realization.
 
-    One :class:`PatchEngine` serves every realization; the timing file
-    records its setup time and each target's bandwidth and summed fill.
+    One :class:`PatchEngine` serves every realization; the record holds
+    its setup time and each target's bandwidth and summed fill.
     """
-    grid = StructuredGrid(config.fine_cells)
-    layout.dir("tensors")
-    per_realization = {}
-    t_start = time.perf_counter()
-    engine = PatchEngine(patch_grid(grid, config.coarse_cells))
-    operators = {
-        TARGET_PERMEABILITY: engine.diffusion,
-        TARGET_ELASTICITY: engine.elasticity(config.props.eta),
-    }
-    setup = time.perf_counter() - t_start
-    n_solves = len(all_indices(config)) * int(np.prod(config.coarse_cells))
-    for index in all_indices(config):
-        fields = load_fields(layout, config, index)
-        t0 = time.perf_counter()
-        eff = homogenize_domain(
-            grid, config.coarse_cells, fields, threads=config.threads, engine=engine
-        )
-        per_realization[str(index)] = time.perf_counter() - t0
-        write_array(layout.tensor_path(index, "perm"), eff.perm)
-        write_array(layout.tensor_path(index, "stiff"), eff.stiffness)
-    total = time.perf_counter() - t_start
-    _write_timing(
-        layout,
-        "homogenize",
-        {
-            "total_s": total,
-            "per_realization_s": per_realization,
-            "engine_setup_s": setup,
+    with _stage(layout, "homogenize") as record:
+        grid = StructuredGrid(config.fine_cells)
+        layout.dir("tensors")
+        with record.span("engine_setup"):
+            engine = PatchEngine(patch_grid(grid, config.coarse_cells))
+            operators = {
+                TARGET_PERMEABILITY: engine.diffusion,
+                TARGET_ELASTICITY: engine.elasticity(config.props.eta),
+            }
+        n_solves = len(all_indices(config)) * int(np.prod(config.coarse_cells))
+        for target, operator in operators.items():
             # stored band entries, summed over all cell problems
-            "factor_fill": {t: o.factor_fill * n_solves for t, o in operators.items()},
-            "bandwidth": {t: o.kd for t, o in operators.items()},
-        },
-    )
-    return {"n_realizations": len(per_realization), "total_s": total}
+            record.put("factor_fill", target, operator.factor_fill * n_solves)
+            record.put("bandwidth", target, operator.kd)
+        for index in all_indices(config):
+            fields = load_fields(layout, config, index)
+            with record.span("per_realization", index):
+                eff = homogenize_domain(
+                    grid, config.coarse_cells, fields, config.threads, engine=engine
+                )
+            write_array(layout.tensor_path(index, "perm"), eff.perm)
+            write_array(layout.tensor_path(index, "stiff"), eff.stiffness)
+    return record
 
 
 def build_dataset_stage(config, layout):
     """Assemble, scale, and store both training datasets."""
-    grid = StructuredGrid(config.fine_cells)
-    realizations = [load_fields(layout, config, i) for i in train_indices(config)]
-    tensors = [load_tensors(layout, config, i) for i in train_indices(config)]
-    layout.dir("datasets")
-    t_start = time.perf_counter()
-    sizes = {}
-    for target in TARGETS:
-        ds = build_dataset(grid, config.coarse_cells, realizations, tensors, target)
-        save_dataset(ds, layout.dataset_path(target))
-        sizes[target] = len(ds)
-    total = time.perf_counter() - t_start
-    _write_timing(layout, "build-dataset", {"total_s": total, "sizes": sizes})
-    return {"sizes": sizes, "total_s": total}
+    with _stage(layout, "build-dataset") as record:
+        grid = StructuredGrid(config.fine_cells)
+        realizations = [load_fields(layout, config, i) for i in train_indices(config)]
+        tensors = [load_tensors(layout, config, i) for i in train_indices(config)]
+        layout.dir("datasets")
+        for target in TARGETS:
+            ds = build_dataset(grid, config.coarse_cells, realizations, tensors, target)
+            save_dataset(ds, layout.dataset_path(target))
+            record.put("sizes", target, len(ds))
+    return record
 
 
 def _loss_csv(history, path):
@@ -266,37 +272,30 @@ def _loss_csv(history, path):
 
 def train_stage(config, layout):
     """Train one network per target; store weights and loss history."""
-    layout.dir("models")
-    times, steps, summary = {}, {}, {}
-    for target in TARGETS:
-        _require(layout.dataset_path(target), "build-dataset")
-        ds = load_dataset(layout.dataset_path(target))
-        parts = split(ds, config.split)
-        network = build_network(
-            ds.dimension,
-            ds.patch_size,
-            ds.n_out,
-            dropout=config.train.dropout,
-            seed=config.train.seed,
-        )
-        settings = dataclasses.replace(config.train, batch_size=config.batch_size())
-        t0 = time.perf_counter()
-        history = train(network, parts["train"], parts["val"], settings)
-        times[target] = time.perf_counter() - t0
-        steps[target] = settings.epochs * -(-len(parts["train"]) // settings.batch_size)
-        save_network(network, layout.model_path(target))
-        _loss_csv(history, layout.loss_path(target))
-        summary[target] = {
-            "epochs": len(history),
-            "final_train_mse": history[-1][1] if history else None,
-            "final_val_mse": history[-1][2] if history else None,
-            "train_s": times[target],
-        }
-    # mean seconds per optimizer step, the per-epoch validation passes included
-    record = {"offline_train_s": times, "optimizer_steps": steps}
-    record["mean_step_s"] = {t: times[t] / n if n else None for t, n in steps.items()}
-    _write_timing(layout, "train", record)
-    return summary
+    with _stage(layout, "train") as record:
+        layout.dir("models")
+        for target in TARGETS:
+            _require(layout.dataset_path(target), "build-dataset")
+            ds = load_dataset(layout.dataset_path(target))
+            parts = split(ds, config.split)
+            network = build_network(
+                ds.dimension,
+                ds.patch_size,
+                ds.n_out,
+                dropout=config.train.dropout,
+                seed=config.train.seed,
+            )
+            settings = dataclasses.replace(config.train, batch_size=config.batch_size())
+            with record.span("offline_train", target):
+                history = train(network, parts["train"], parts["val"], settings)
+            save_network(network, layout.model_path(target))
+            _loss_csv(history, layout.loss_path(target))
+            steps = settings.epochs * -(-len(parts["train"]) // settings.batch_size)
+            record.put("optimizer_steps", target, steps)
+            # mean seconds per optimizer step, the per-epoch validation passes included
+            seconds = record["offline_train_s"][target]
+            record.put("mean_step_s", target, seconds / steps if steps else None)
+    return record
 
 
 def _metrics_rows(metrics):
@@ -314,36 +313,31 @@ def _metrics_rows(metrics):
 
 
 def evaluate_stage(config, layout):
-    """Per-split metrics of the trained networks, written as CSV."""
-    layout.dir("metrics")
-    summary = {}
-    times = {}
-    t_start = time.perf_counter()
-    for target in TARGETS:
-        t0 = time.perf_counter()
-        _require(layout.dataset_path(target), "build-dataset")
-        _require(layout.model_path(target), "train")
-        ds = load_dataset(layout.dataset_path(target))
-        parts = split(ds, config.split)
-        network = load_network(layout.model_path(target))
-        with open(
-            layout.metrics_path(target), "w", encoding="utf-8", newline="\n"
-        ) as fh:
-            fh.write("split,component,mse,mae_pct,rmse_pct\n")
-            for name in ("train", "val", "test"):
-                metrics = evaluate(network, parts[name])
-                for component, mse, mae, rmse in _metrics_rows(metrics):
-                    fh.write(f"{name},{component},{mse!r},{mae!r},{rmse!r}\n")
-                if name == "test":
-                    summary[target] = {
-                        "test_mse": metrics.mse,
-                        "test_mae_pct": metrics.mae_pct,
-                        "test_rmse_pct": metrics.rmse_pct,
-                    }
-        times[target] = time.perf_counter() - t0
-    total = time.perf_counter() - t_start
-    _write_timing(layout, "evaluate", {"total_s": total, "per_target_s": times})
-    return summary
+    """Per-split metrics of the trained networks as CSV; test metrics per target."""
+    with _stage(layout, "evaluate") as record:
+        layout.dir("metrics")
+        for target in TARGETS:
+            with record.span("per_target", target):
+                _require(layout.dataset_path(target), "build-dataset")
+                _require(layout.model_path(target), "train")
+                ds = load_dataset(layout.dataset_path(target))
+                parts = split(ds, config.split)
+                network = load_network(layout.model_path(target))
+                with open(
+                    layout.metrics_path(target), "w", encoding="utf-8", newline="\n"
+                ) as fh:
+                    fh.write("split,component,mse,mae_pct,rmse_pct\n")
+                    for name in ("train", "val", "test"):
+                        metrics = evaluate(network, parts[name])
+                        for component, mse, mae, rmse in _metrics_rows(metrics):
+                            fh.write(f"{name},{component},{mse!r},{mae!r},{rmse!r}\n")
+                        if name == "test":
+                            record[target] = {
+                                "test_mse": metrics.mse,
+                                "test_mae_pct": metrics.mae_pct,
+                                "test_rmse_pct": metrics.rmse_pct,
+                            }
+    return record
 
 
 def predict_tensors(networks, scalers, grid, coarse_cells, fields):
@@ -367,41 +361,31 @@ def predict_tensors(networks, scalers, grid, coarse_cells, fields):
 
 def predict_stage(config, layout):
     """Replace local solves by network prediction on held-out domains."""
-    grid = StructuredGrid(config.fine_cells)
-    layout.dir("predicted")
-    networks, scalers = {}, {}
-    t0 = time.perf_counter()
-    for target in TARGETS:
-        _require(layout.model_path(target), "train")
-        _require(layout.dataset_path(target), "build-dataset")
-        networks[target] = load_network(layout.model_path(target))
-        scalers[target] = load_scaler(layout.dataset_path(target))
-    online_load = time.perf_counter() - t0
-
-    per_realization = {}
-    for index in held_out_indices(config):
-        fields = load_fields(layout, config, index)
-        t0 = time.perf_counter()
-        outputs = predict_tensors(networks, scalers, grid, config.coarse_cells, fields)
-        per_realization[str(index)] = time.perf_counter() - t0
-        write_array(
-            layout.tensor_path(index, "perm", PREDICTED),
-            outputs[TARGET_PERMEABILITY],
-        )
-        write_array(
-            layout.tensor_path(index, "stiff", PREDICTED),
-            outputs[TARGET_ELASTICITY],
-        )
-    _write_timing(
-        layout,
-        "predict",
-        {"online_load_s": online_load, "per_realization_s": per_realization},
-    )
-    return {
-        "online_load_s": online_load,
-        "n_realizations": len(per_realization),
-        "per_realization_s": per_realization,
-    }
+    with _stage(layout, "predict") as record:
+        grid = StructuredGrid(config.fine_cells)
+        layout.dir("predicted")
+        networks, scalers = {}, {}
+        with record.span("online_load"):
+            for target in TARGETS:
+                _require(layout.model_path(target), "train")
+                _require(layout.dataset_path(target), "build-dataset")
+                networks[target] = load_network(layout.model_path(target))
+                scalers[target] = load_scaler(layout.dataset_path(target))
+        for index in held_out_indices(config):
+            fields = load_fields(layout, config, index)
+            with record.span("per_realization", index):
+                outputs = predict_tensors(
+                    networks, scalers, grid, config.coarse_cells, fields
+                )
+            write_array(
+                layout.tensor_path(index, "perm", PREDICTED),
+                outputs[TARGET_PERMEABILITY],
+            )
+            write_array(
+                layout.tensor_path(index, "stiff", PREDICTED),
+                outputs[TARGET_ELASTICITY],
+            )
+    return record
 
 
 def _write_states(layout, kind, index, states):
@@ -415,41 +399,33 @@ def _write_states(layout, kind, index, states):
 
 def solve_fine_stage(config, layout):
     """Reference fine-grid solves on the held-out realizations."""
-    grid = StructuredGrid(config.fine_cells)
-    layout.dir("states")
-    per_realization = {}
-    for index in held_out_indices(config):
-        fields = load_fields(layout, config, index)
-        t0 = time.perf_counter()
-        states = solve_poroelasticity(
-            grid, fields, config.constants, config.stepping
-        )
-        per_realization[str(index)] = time.perf_counter() - t0
-        _write_states(layout, "fine", index, states)
-    _write_timing(layout, "solve-fine", {"per_realization_s": per_realization})
-    return {"per_realization_s": per_realization}
+    with _stage(layout, "solve-fine") as record:
+        grid = StructuredGrid(config.fine_cells)
+        layout.dir("states")
+        for index in held_out_indices(config):
+            fields = load_fields(layout, config, index)
+            with record.span("per_realization", index):
+                states = solve_poroelasticity(
+                    grid, fields, config.constants, config.stepping
+                )
+            _write_states(layout, "fine", index, states)
+    return record
 
 
 def solve_coarse_stage(config, layout, source=DIRECT):
     """Coarse solves from direct or predicted effective tensors."""
     if source not in (DIRECT, PREDICTED):
         raise ParameterError(f"unknown tensor source {source!r}")
-    layout.dir("states")
-    per_realization = {}
-    for index in held_out_indices(config):
-        eff = load_tensors(layout, config, index, source)
-        t0 = time.perf_counter()
-        states = solve_coarse(
-            config.coarse_cells, eff, config.constants, config.stepping
-        )
-        per_realization[str(index)] = time.perf_counter() - t0
-        _write_states(layout, f"coarse_{source}", index, states)
-    _write_timing(
-        layout,
-        f"solve-coarse-{source}",
-        {"per_realization_s": per_realization},
-    )
-    return {"per_realization_s": per_realization}
+    with _stage(layout, f"solve-coarse-{source}") as record:
+        layout.dir("states")
+        for index in held_out_indices(config):
+            eff = load_tensors(layout, config, index, source)
+            with record.span("per_realization", index):
+                states = solve_coarse(
+                    config.coarse_cells, eff, config.constants, config.stepping
+                )
+            _write_states(layout, f"coarse_{source}", index, states)
+    return record
 
 
 def _final_state(layout, kind, index, command):
@@ -493,84 +469,80 @@ def _speedup_block(layout):
 
 def report_stage(config, layout):
     """Aggregate error norms and timings into errors.csv and summary.txt."""
-    t_start = time.perf_counter()
-    fine_grid = StructuredGrid(config.fine_cells)
-    coarse_grid = StructuredGrid(config.coarse_cells)
-    layout.dir("report")
+    with _stage(layout, "report") as record:
+        fine_grid = StructuredGrid(config.fine_cells)
+        coarse_grid = StructuredGrid(config.coarse_cells)
+        layout.dir("report")
 
-    sources = [DIRECT]
-    if all(
-        layout.state_path(f"coarse_{PREDICTED}", i, part).exists()
-        for i in held_out_indices(config)
-        for part in ("p", "u")
-    ):
-        sources.append(PREDICTED)
-
-    # one load and one assembly of the fine norms per realization
-    reports = {}
-    for index in held_out_indices(config):
-        fields = load_fields(layout, config, index)
-        fine_state = _final_state(layout, "fine", index, "solve-fine")
-        coarse_states = [
-            _final_state(
-                layout,
-                f"coarse_{source}",
-                index,
-                f"solve-coarse --tensors {source}",
-            )
-            for source in sources
-        ]
-        for source, report in zip(
-            sources,
-            error_norms(fine_state, coarse_states, fine_grid, coarse_grid, fields),
+        sources = [DIRECT]
+        if all(
+            layout.state_path(f"coarse_{PREDICTED}", i, part).exists()
+            for i in held_out_indices(config)
+            for part in ("p", "u")
         ):
-            reports[source, index] = report
-    rows = [
-        (config.name, source, index) + reports[source, index].as_tuple()
-        for source in sources
-        for index in held_out_indices(config)
-    ]
+            sources.append(PREDICTED)
 
-    with open(layout.errors_csv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("test,case,realization,e_p_L2,e_p_en,e_u_L2,e_u_en\n")
+        # one load and one assembly of the fine norms per realization
+        reports = {}
+        for index in held_out_indices(config):
+            fields = load_fields(layout, config, index)
+            fine_state = _final_state(layout, "fine", index, "solve-fine")
+            coarse_states = [
+                _final_state(
+                    layout,
+                    f"coarse_{source}",
+                    index,
+                    f"solve-coarse --tensors {source}",
+                )
+                for source in sources
+            ]
+            for source, report in zip(
+                sources,
+                error_norms(fine_state, coarse_states, fine_grid, coarse_grid, fields),
+            ):
+                reports[source, index] = report
+        rows = [
+            (config.name, source, index) + reports[source, index].as_tuple()
+            for source in sources
+            for index in held_out_indices(config)
+        ]
+
+        with open(layout.errors_csv, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("test,case,realization,e_p_L2,e_p_en,e_u_L2,e_u_en\n")
+            for row in rows:
+                test, case, index = row[:3]
+                values = ",".join(repr(v) for v in row[3:])
+                fh.write(f"{test},{case},{index},{values}\n")
+
+        lines = [
+            f"run {config.name}: {config.dimension}D, "
+            f"fine {'x'.join(str(c) for c in config.fine_cells)}, "
+            f"coarse {'x'.join(str(c) for c in config.coarse_cells)}, "
+            f"{config.n_realizations} training / "
+            f"{config.n_test_realizations} held-out realizations",
+            "",
+            "relative errors of the coarse solution at final time (percent):",
+            "case        realization   e_p_L2   e_p_en   e_u_L2   e_u_en",
+        ]
         for row in rows:
-            test, case, index = row[:3]
-            values = ",".join(repr(v) for v in row[3:])
-            fh.write(f"{test},{case},{index},{values}\n")
-
-    lines = [
-        f"run {config.name}: {config.dimension}D, "
-        f"fine {'x'.join(str(c) for c in config.fine_cells)}, "
-        f"coarse {'x'.join(str(c) for c in config.coarse_cells)}, "
-        f"{config.n_realizations} training / "
-        f"{config.n_test_realizations} held-out realizations",
-        "",
-        "relative errors of the coarse solution at final time (percent):",
-        "case        realization   e_p_L2   e_p_en   e_u_L2   e_u_en",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row[1]:<12}{row[2]:>10}   {row[3]:>7.3f} {row[4]:>8.3f} "
-            f"{row[5]:>8.3f} {row[6]:>8.3f}"
-        )
-    for source in sources:
-        block = np.array([row[3:] for row in rows if row[1] == source])
-        mean = block.mean(axis=0)
-        lines.append(
-            f"{source + ' mean':<22}   {mean[0]:>7.3f} {mean[1]:>8.3f} "
-            f"{mean[2]:>8.3f} {mean[3]:>8.3f}"
-        )
-    lines.append("")
-    lines.append("timing:")
-    timing_lines, speedups = _speedup_block(layout)
-    lines.extend("  " + line for line in timing_lines)
-    with open(layout.summary_txt, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _write_timing(layout, "report", {"total_s": time.perf_counter() - t_start})
-    return {
-        "rows": len(rows),
-        "sources": sources,
-        "speedups": speedups,
-        "errors_csv": str(layout.errors_csv),
-        "summary_txt": str(layout.summary_txt),
-    }
+            lines.append(
+                f"{row[1]:<12}{row[2]:>10}   {row[3]:>7.3f} {row[4]:>8.3f} "
+                f"{row[5]:>8.3f} {row[6]:>8.3f}"
+            )
+        for source in sources:
+            block = np.array([row[3:] for row in rows if row[1] == source])
+            mean = block.mean(axis=0)
+            lines.append(
+                f"{source + ' mean':<22}   {mean[0]:>7.3f} {mean[1]:>8.3f} "
+                f"{mean[2]:>8.3f} {mean[3]:>8.3f}"
+            )
+        lines.append("")
+        lines.append("timing:")
+        timing_lines, speedups = _speedup_block(layout)
+        lines.extend("  " + line for line in timing_lines)
+        with open(layout.summary_txt, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+        record.update(rows=len(rows), sources=sources, speedups=speedups)
+        record["errors_csv"] = str(layout.errors_csv)
+        record["summary_txt"] = str(layout.summary_txt)
+    return record

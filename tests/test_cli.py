@@ -253,6 +253,10 @@ def test_missing_upstream_artifacts(capsys, tmp_path):
     assert "build-dataset" in capsys.readouterr().err
     assert main(["predict"] + argv) == 1
     assert "train" in capsys.readouterr().err
+    # a stage record is written only when the stage finishes
+    layout = RunLayout(tmp_path)
+    for stage in ("homogenize", "train", "predict"):
+        assert not layout.timing_path(stage).exists()
 
 
 def test_mini_pipeline_end_to_end(capsys, tmp_path):
@@ -269,12 +273,17 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
         ["solve-coarse", "--tensors", "predicted"],
         ["report"],
     ]
+    layout = RunLayout(tmp_path)
     for stage in stages:
         assert main(stage + argv) == 0, stage
         out = capsys.readouterr().out
-        assert f"poroscale {stage[0]}: ok" in out
+        _, printed = out.split(f"poroscale {stage[0]}: ok\n")
+        # the CLI prints exactly the stage record it wrote
+        name = "-".join(stage[0:1] + stage[2:])
+        record = json.loads(layout.timing_path(name).read_text("utf-8"))
+        assert record["stage"] == name and record["total_s"] > 0.0
+        assert json.loads(printed) == record
 
-    layout = RunLayout(tmp_path)
     for index in (0, 1, 2):
         assert layout.field_path(index, "perm").exists()
         assert layout.field_path(index, "young").exists()
