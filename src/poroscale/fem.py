@@ -57,7 +57,7 @@ class P1Space:
         """
         grid = self.grid
         d = self.d
-        n_class = 2 if d == 2 else 6
+        n_class = grid.n_classes
         grads = np.empty((n_class, d + 1, d))
         for t in range(n_class):
             # interleaved element order puts one element of each class first

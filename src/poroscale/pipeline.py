@@ -47,6 +47,7 @@ from .dataset import (
     save_dataset,
     split,
 )
+from .elasticity import n_strain_components
 from .errors import ParameterError, PipelineError
 from .grid import StructuredGrid
 from .homogenize import (
@@ -180,24 +181,37 @@ def _read_timing(layout, stage):
         return json.load(fh)
 
 
+def _read_stored(path, shape, command):
+    """Read an upstream array that must exist and have ``shape``."""
+    _require(path, command)
+    array = read_array(path)
+    if array.shape != shape:
+        raise PipelineError(
+            f"{path} has shape {array.shape}, the configured grid needs {shape}; "
+            f"run `poroscale {command}` again"
+        )
+    return array
+
+
 def load_fields(layout, config, index):
-    for prop in ("perm", "young"):
-        _require(layout.field_path(index, prop), "generate-fields")
-    return PropertyFields(
-        perm=read_array(layout.field_path(index, "perm")),
-        young=read_array(layout.field_path(index, "young")),
-        eta=config.props.eta,
+    shape = (StructuredGrid(config.fine_cells).n_nodes,)
+    perm, young = (
+        _read_stored(layout.field_path(index, prop), shape, "generate-fields")
+        for prop in ("perm", "young")
     )
+    return PropertyFields(perm=perm, young=young, eta=config.props.eta)
 
 
 def load_tensors(layout, config, index, source=DIRECT):
     command = "homogenize" if source == DIRECT else "predict"
-    for kind in ("perm", "stiff"):
-        _require(layout.tensor_path(index, kind, source), command)
+    n_cells = int(np.prod(config.coarse_cells))
+    d = len(config.coarse_cells)
+    perm, stiffness = (
+        _read_stored(layout.tensor_path(index, kind, source), (n_cells, k, k), command)
+        for kind, k in (("perm", d), ("stiff", n_strain_components(d)))
+    )
     return EffectiveTensors(
-        coarse_cells=config.coarse_cells,
-        perm=read_array(layout.tensor_path(index, "perm", source)),
-        stiffness=read_array(layout.tensor_path(index, "stiff", source)),
+        coarse_cells=config.coarse_cells, perm=perm, stiffness=stiffness
     )
 
 

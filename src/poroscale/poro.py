@@ -210,8 +210,7 @@ def solve_coarse(
 
     space = P1Space(grid)
     # element order is cell-major, orientation classes fastest
-    per_cell = 2 if d == 2 else 6
-    cell_of_element = np.repeat(np.arange(n_cells), per_cell)
+    cell_of_element = np.repeat(np.arange(n_cells), grid.n_classes)
     k_e = effective.perm[cell_of_element] / constants.nu_f
     C_e = effective.stiffness[cell_of_element]
     mobility_B = space.assemble_diffusion(k_e)

@@ -127,23 +127,15 @@ def build_kl_basis(grid, spec):
     n = min(n, lam.size, spec.max_terms)
     lam, order = lam[:n], order[:n]
 
-    multi = np.unravel_index(order, tuple(shape))
-    if d == 2:
-        modes = np.einsum(
-            "ak,bk->kab", axis_vecs[0][:, multi[0]], axis_vecs[1][:, multi[1]]
-        )
-    else:
-        modes = np.einsum(
-            "ak,bk,ck->kabc",
-            axis_vecs[0][:, multi[0]],
-            axis_vecs[1][:, multi[1]],
-            axis_vecs[2][:, multi[2]],
-        )
+    # mode k is the outer product of one eigenvector per axis, left to right
+    modes = np.ones((n, 1))
+    for vecs, index in zip(axis_vecs, np.unravel_index(order, tuple(shape))):
+        modes = (modes[:, :, None] * vecs[:, index].T[:, None, :]).reshape(n, -1)
     return KLBasis(
         spec=spec,
         node_shape=tuple(shape),
         eigenvalues=lam,
-        modes=modes.reshape(n, -1),
+        modes=modes,
         total_energy=total,
     )
 

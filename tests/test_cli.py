@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from poroscale.arrayio import read_array
+from poroscale.arrayio import read_array, write_array
 from poroscale.cli import build_parser, main, resolve_config
 from poroscale.config import (
     PRESET_NAMES,
@@ -257,6 +257,32 @@ def test_missing_upstream_artifacts(capsys, tmp_path):
     layout = RunLayout(tmp_path)
     for stage in ("homogenize", "train", "predict"):
         assert not layout.timing_path(stage).exists()
+
+
+def test_fields_of_another_grid_are_an_error(capsys, tmp_path):
+    workdir = ["--workdir", str(tmp_path)]
+    assert main(["generate-fields", "--preset", "desk-mini"] + workdir) == 0
+    capsys.readouterr()
+    # desk-test1's 128^2 grid needs 129^2 node values, desk-mini wrote 33^2
+    assert main(["homogenize", "--preset", "desk-test1"] + workdir) == 1
+    err = capsys.readouterr().err
+    assert "poroscale homogenize: error:" in err
+    assert "(1089,)" in err and "(16641,)" in err
+    assert "`poroscale generate-fields`" in err
+
+
+def test_tensors_of_another_grid_are_an_error(capsys, tmp_path):
+    layout = RunLayout(tmp_path)
+    layout.dir("tensors")
+    # desk-mini has 4x4 coarse cells: (16, 2, 2) and (16, 3, 3) tensors
+    write_array(layout.tensor_path(2, "perm"), np.tile(np.eye(2), (9, 1, 1)))
+    write_array(layout.tensor_path(2, "stiff"), np.tile(np.eye(3), (16, 1, 1)))
+    argv = ["--preset", "desk-mini", "--workdir", str(tmp_path)]
+    assert main(["solve-coarse", "--tensors", "direct"] + argv) == 1
+    err = capsys.readouterr().err
+    assert "poroscale solve-coarse: error:" in err
+    assert "(9, 2, 2)" in err and "(16, 2, 2)" in err
+    assert "`poroscale homogenize`" in err
 
 
 def test_mini_pipeline_end_to_end(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from poroscale.errors import ParameterError
 from poroscale.grid import StructuredGrid
@@ -22,6 +23,49 @@ def dense_covariance(grid, spec):
         diff = coords[:, i][:, None] - coords[:, i][None, :]
         cov *= np.exp(-(diff**2) / (2.0 * l2))
     return cov
+
+
+def reference_modes(grid, spec, n):
+    """The first ``n`` KL modes by the earlier per-dimension einsum forms."""
+    shape = grid.node_shape
+    vals, vecs = zip(
+        *(
+            axis_covariance_eig(np.arange(k) * h, l2)
+            for k, h, l2 in zip(shape, grid.spacing, spec.length_sq)
+        )
+    )
+    lam = spec.sigma2 * np.ones(1)
+    for v in vals:
+        lam = np.multiply.outer(lam, np.maximum(v, 0.0))
+    order = np.argsort(lam.reshape(-1))[::-1][:n]
+    multi = np.unravel_index(order, shape)
+    if grid.dimension == 2:
+        modes = np.einsum("ak,bk->kab", vecs[0][:, multi[0]], vecs[1][:, multi[1]])
+    else:
+        modes = np.einsum(
+            "ak,bk,ck->kabc",
+            vecs[0][:, multi[0]],
+            vecs[1][:, multi[1]],
+            vecs[2][:, multi[2]],
+        )
+    return modes.reshape(n, -1)
+
+
+@pytest.mark.parametrize(
+    "cells,length_sq",
+    [
+        ((9, 9), (0.1, 0.2)),
+        ((17, 33), (0.05, 0.3)),
+        ((5, 6, 7), (0.1, 0.2, 0.3)),
+        ((13, 13, 13), (0.1, 0.1, 0.1)),
+    ],
+)
+def test_modes_equal_the_per_dimension_einsum_bit_for_bit(cells, length_sq):
+    grid = StructuredGrid(cells)
+    spec = CovarianceSpec(sigma2=1.5, length_sq=length_sq, energy_fraction=0.99)
+    basis = build_kl_basis(grid, spec)
+    assert basis.n_terms > 1
+    assert_array_equal(basis.modes, reference_modes(grid, spec, basis.n_terms))
 
 
 def test_axis_two_node_limits():
