@@ -92,32 +92,19 @@ class P1Space:
     # ------------------------------------------------------------------
     # coefficient handling
 
-    def element_values(self, values, where="node"):
-        """Reduce a scalar coefficient to one value per element.
+    def element_values(self, values):
+        """Vertex means of a nodal scalar coefficient, one value per element.
 
-        ``where='node'`` expects nodal values and takes vertex means;
-        ``where='element'`` passes per-element values through. Scalars
-        broadcast either way.
+        A scalar broadcasts to every element.
         """
         values = np.asarray(values, dtype=float)
-        n_elem = self.grid.elements.shape[0]
         if values.ndim == 0:
-            return np.full(n_elem, float(values))
-        if values.ndim != 1:
-            raise ParameterError("scalar coefficient must be 0- or 1-dimensional")
-        if where == "node":
-            if values.shape[0] != self.grid.n_nodes:
-                raise ParameterError(
-                    f"expected {self.grid.n_nodes} nodal values, got {values.shape[0]}"
-                )
-            return values[self.grid.elements].mean(axis=1)
-        if where == "element":
-            if values.shape[0] != n_elem:
-                raise ParameterError(
-                    f"expected {n_elem} element values, got {values.shape[0]}"
-                )
-            return values
-        raise ParameterError(f"unknown coefficient location {where!r}")
+            return np.full(self.grid.elements.shape[0], float(values))
+        if values.shape != (self.grid.n_nodes,):
+            raise ParameterError(
+                f"expected {self.grid.n_nodes} nodal values, got shape {values.shape}"
+            )
+        return values[self.grid.elements].mean(axis=1)
 
     # ------------------------------------------------------------------
     # assembly
@@ -136,11 +123,11 @@ class P1Space:
 
         return self._accumulate(blocks, (self.grid.n_nodes, self.grid.n_nodes))
 
-    def assemble_diffusion(self, k, where="node"):
+    def assemble_diffusion(self, k):
         """Stiffness matrix of the form integral(grad q . k grad p).
 
-        ``k`` is a positive scalar field (nodal or per element) or an array
-        of per-element d x d tensors with shape (n_elem, d, d).
+        ``k`` is a positive scalar or nodal field, reduced to vertex means,
+        or an array of per-element d x d tensors with shape (n_elem, d, d).
         """
         d = self.d
         vol = self.grid.element_volume
@@ -154,7 +141,7 @@ class P1Space:
                     f"tensor coefficient must have shape (n_elem, {d}, {d})"
                 )
         else:
-            k = self.element_values(k, where)
+            k = self.element_values(k)
             if np.any(k <= 0.0):
                 raise ParameterError("diffusion coefficient must be positive")
         gram = np.einsum("tia,tja->tij", grads, grads)
@@ -173,17 +160,14 @@ class P1Space:
     def assemble_elasticity(self, C):
         """Vector stiffness matrix from stored stiffness matrices.
 
-        ``C`` has shape (m, m) for a homogeneous medium or (n_elem, m, m)
-        per element, in the sqrt(2)-weighted convention.
+        ``C`` holds one matrix per element, shape (n_elem, m, m), in the
+        sqrt(2)-weighted convention.
         """
         d = self.d
         m = n_strain_components(d)
-        n_elem = self.grid.elements.shape[0]
         C = np.asarray(C, dtype=float)
-        if C.shape == (m, m):
-            C = np.broadcast_to(C, (n_elem, m, m))
-        elif C.shape != (n_elem, m, m):
-            raise ParameterError(f"stiffness must have shape ({m}, {m}) per element")
+        if C.shape != (self.grid.elements.shape[0], m, m):
+            raise ParameterError(f"stiffness must have shape (n_elem, {m}, {m})")
         vol = self.grid.element_volume
         strain = self.class_strain
         cls = self.grid.element_class

@@ -7,12 +7,15 @@ with affine boundary data psi_j = x_j and averages the flux,
     k*_lj = (1/|K|) integral_K k(x) d(psi_l)/dx_j dx,
 
 which discretely equals the energy inner product of the solutions, so the
-raw matrix is symmetric up to solver tolerance and is symmetrized on
-return. Elasticity solves one vector problem per strain component with
-boundary data u = Lambda^(rs) x (Lambda the symmetrized unit strain) and
-forms the energy Gram matrix of the solutions; weighting its shear
-rows/columns by sqrt(2) yields the stored stiffness matrix convention of
-:mod:`poroscale.elasticity`.
+raw matrix is symmetric up to solver tolerance. Elasticity solves one
+vector problem per strain component with boundary data u = Lambda^(rs) x
+(Lambda the symmetrized unit strain) and forms the energy Gram matrix of
+the solutions; weighting its shear rows/columns by sqrt(2) yields the
+stored stiffness matrix convention of :mod:`poroscale.elasticity`.
+:meth:`PatchEngine.permeability` and :meth:`PatchEngine.stiffness` map
+per-element values to these raw tensors; :func:`effective_permeability`
+and :func:`effective_elasticity` map nodal values, by vertex means, to
+the symmetrized tensors that :func:`homogenize_domain` stores.
 
 Every cell's nodal values come from one strided view of the fine field,
 :func:`cell_windows`, which also gives the network inputs of
@@ -207,55 +210,50 @@ class PatchEngine(P1Space):
             )
         return self._elasticity[eta]
 
+    def permeability(self, k_e):
+        """Raw flux-averaged permeability (d, d) of per-element values."""
+        if np.any(k_e <= 0.0):
+            raise ParameterError("diffusion coefficient must be positive")
+        grid = self.grid
+        psi, _ = self.diffusion.solve(k_e)
+        grads = self.class_gradients[grid.element_class]
+        # per-element gradient of each solution: (n_elem, d components, d problems)
+        gpsi = np.einsum("eia,eil->eal", grads, psi[grid.elements])
+        volume = grid.element_volume * grid.elements.shape[0]
+        return grid.element_volume / volume * np.einsum("e,ejl->lj", k_e, gpsi)
+
+    def stiffness(self, young_e, eta):
+        """Raw energy stiffness (m, m), sqrt(2) convention, of per-element
+        Young's moduli at Poisson ratio ``eta``."""
+        lame_parameters(young_e, eta)  # validates E > 0 and the Poisson ratio
+        phi, A_phi = self.elasticity(eta).solve(young_e)
+        volume = self.grid.element_volume * self.grid.elements.shape[0]
+        w = mandel_weights(self.d)
+        return np.outer(w, w) * (phi.T @ A_phi / volume)
+
 
 def _engine(space):
     return space if isinstance(space, PatchEngine) else PatchEngine(space.grid)
 
 
-def effective_permeability(space, perm, with_asymmetry=False, where="node"):
-    """Symmetrized effective permeability of one patch, (d, d).
-
-    ``space`` may be a :class:`PatchEngine` to reuse. ``where='element'``
-    takes per-element coefficients, which keeps sharp material interfaces
-    aligned with element rows exact.
-    """
-    engine = _engine(space)
-    grid = engine.grid
-    k_e = engine.element_values(perm, where=where)
-    if np.any(k_e <= 0.0):
-        raise ParameterError("diffusion coefficient must be positive")
-    psi, _ = engine.diffusion.solve(k_e)
-
-    grads = engine.class_gradients[grid.element_class]
-    # per-element gradient of each solution: (n_elem, d components, d problems)
-    gpsi = np.einsum("eia,eil->eal", grads, psi[grid.elements])
-    volume = grid.element_volume * grid.elements.shape[0]
-    raw = grid.element_volume / volume * np.einsum("e,ejl->lj", k_e, gpsi)
-    kstar = 0.5 * (raw + raw.T)
-    if with_asymmetry:
-        return kstar, float(np.abs(raw - raw.T).max())
-    return kstar
-
-
-def effective_elasticity(space, young, eta, with_asymmetry=False, where="node"):
-    """Effective stiffness matrix of one patch, (m, m), sqrt(2) convention.
+def effective_permeability(space, perm):
+    """Symmetrized effective permeability of one patch of nodal values, (d, d).
 
     ``space`` may be a :class:`PatchEngine` to reuse.
     """
     engine = _engine(space)
-    grid = engine.grid
-    young_e = engine.element_values(young, where=where)
-    lame_parameters(young_e, eta)  # validates E > 0 and the Poisson ratio
-    phi, A_phi = engine.elasticity(eta).solve(young_e)
+    raw = engine.permeability(engine.element_values(perm))
+    return 0.5 * (raw + raw.T)
 
-    volume = grid.element_volume * grid.elements.shape[0]
-    energy = phi.T @ A_phi / volume
-    w = mandel_weights(engine.d)
-    raw = np.outer(w, w) * energy
-    cstar = 0.5 * (raw + raw.T)
-    if with_asymmetry:
-        return cstar, float(np.abs(raw - raw.T).max())
-    return cstar
+
+def effective_elasticity(space, young, eta):
+    """Symmetrized effective stiffness of one patch of nodal moduli, (m, m).
+
+    ``space`` may be a :class:`PatchEngine` to reuse.
+    """
+    engine = _engine(space)
+    raw = engine.stiffness(engine.element_values(young), eta)
+    return 0.5 * (raw + raw.T)
 
 
 @dataclass

@@ -204,10 +204,11 @@ def load_fields(layout, config, index):
 
 def load_tensors(layout, config, index, source=DIRECT):
     command = "homogenize" if source == DIRECT else "predict"
-    n_cells = int(np.prod(config.coarse_cells))
     d = len(config.coarse_cells)
     perm, stiffness = (
-        _read_stored(layout.tensor_path(index, kind, source), (n_cells, k, k), command)
+        _read_stored(
+            layout.tensor_path(index, kind, source), (config.n_cells, k, k), command
+        )
         for kind, k in (("perm", d), ("stiff", n_strain_components(d)))
     )
     return EffectiveTensors(
@@ -247,7 +248,7 @@ def homogenize_stage(config, layout):
                 TARGET_PERMEABILITY: engine.diffusion,
                 TARGET_ELASTICITY: engine.elasticity(config.props.eta),
             }
-        n_solves = len(all_indices(config)) * int(np.prod(config.coarse_cells))
+        n_solves = len(all_indices(config)) * config.n_cells
         for target, operator in operators.items():
             # stored band entries, summed over all cell problems
             record.put("factor_fill", target, operator.factor_fill * n_solves)
@@ -488,8 +489,9 @@ def report_stage(config, layout):
         coarse_grid = StructuredGrid(config.coarse_cells)
         layout.dir("report")
 
+        # any predicted state asks for all of them, so a partial set fails
         sources = [DIRECT]
-        if all(
+        if any(
             layout.state_path(f"coarse_{PREDICTED}", i, part).exists()
             for i in held_out_indices(config)
             for part in ("p", "u")

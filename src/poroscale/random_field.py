@@ -54,15 +54,16 @@ class CovarianceSpec:
             raise ParameterError("at least one term must be retained")
 
 
-def axis_covariance_eig(coords, length_sq, sigma2=1.0):
-    """Eigenpairs of the 1D squared-exponential covariance matrix.
+def axis_covariance_eig(coords, length_sq):
+    """Eigenpairs of the unit-variance 1D squared-exponential covariance.
 
     Returns ``(values, vectors)`` sorted by descending eigenvalue, with
-    orthonormal columns in ``vectors``.
+    orthonormal columns in ``vectors``. :func:`build_kl_basis` applies the
+    variance to the product eigenvalues.
     """
     coords = np.asarray(coords, dtype=float)
     diff = coords[:, None] - coords[None, :]
-    cov = sigma2 * np.exp(-(diff**2) / (2.0 * length_sq))
+    cov = np.exp(-(diff**2) / (2.0 * length_sq))
     values, vectors = np.linalg.eigh(cov)
     order = np.argsort(values)[::-1]
     return values[order], vectors[:, order]

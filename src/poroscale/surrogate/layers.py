@@ -33,6 +33,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ParameterError
 
+# kernel extent of every Conv axis
+KERNEL = 3
+
 
 def he_uniform(rng, shape, fan_in):
     """Uniform init on [-b, b] with b = sqrt(6 / fan_in)."""
@@ -41,24 +44,21 @@ def he_uniform(rng, shape, fan_in):
 
 
 class Conv:
-    """Cross-correlation with odd kernels, stride 1, zero same-padding.
+    """Cross-correlation with fixed 3^d kernels, stride 1, zero same-padding.
 
-    Weights are (out_ch, in_ch, *kernel); input (batch, in_ch, *spatial)
+    Weights are (out_ch, in_ch, 3, ..., 3); input (batch, in_ch, *spatial)
     keeps its spatial extents.
     """
 
-    def __init__(self, dim, in_channels, out_channels, kernel=3, rng=None):
+    def __init__(self, dim, in_channels, out_channels, rng=None):
         if dim not in (2, 3):
             raise ParameterError("convolution supports 2 or 3 spatial axes")
-        if kernel % 2 != 1:
-            raise ParameterError("kernel extent must be odd")
         if rng is None:
             rng = np.random.default_rng()
         self.dim = dim
-        self.kernel = kernel
-        fan_in = in_channels * kernel**dim
+        fan_in = in_channels * KERNEL**dim
         self.weight = he_uniform(
-            rng, (out_channels, in_channels) + (kernel,) * dim, fan_in
+            rng, (out_channels, in_channels) + (KERNEL,) * dim, fan_in
         )
         self.bias = np.zeros(out_channels)
         self.params = [self.weight, self.bias]
@@ -71,9 +71,9 @@ class Conv:
         The input is padded channels-last, so its window view already runs
         (batch, *spatial, ch, *kernel) and one reshape copies it.
         """
-        d, p = self.dim, self.kernel // 2
+        d, p = self.dim, KERNEL // 2
         padded = np.pad(np.moveaxis(x, 1, -1), [(0, 0)] + [(p, p)] * d + [(0, 0)])
-        win = sliding_window_view(padded, (self.kernel,) * d, tuple(range(1, 1 + d)))
+        win = sliding_window_view(padded, (KERNEL,) * d, tuple(range(1, 1 + d)))
         return win.reshape(x.shape[0] * prod(x.shape[2:]), -1)
 
     def forward(self, x, train=False, rng=None):
@@ -85,7 +85,7 @@ class Conv:
         return np.moveaxis(out.reshape(x.shape[:1] + x.shape[2:] + (-1,)), -1, 1)
 
     def backward(self, grad_out, input_grad=True):
-        d, k = self.dim, self.kernel
+        d, k = self.dim, KERNEL
         out_ch, in_ch = self.weight.shape[:2]
         batch, spatial = grad_out.shape[0], grad_out.shape[2:]
         # (out_ch, batch * spatial) in the column matrix's row order, copied C
@@ -113,7 +113,7 @@ class Conv:
 
     def __repr__(self):
         out_ch, in_ch = self.weight.shape[:2]
-        return f"Conv({self.dim}d, {in_ch}->{out_ch}, k={self.kernel})"
+        return f"Conv({self.dim}d, {in_ch}->{out_ch}, k={KERNEL})"
 
 
 class ReLU:

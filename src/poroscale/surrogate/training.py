@@ -140,17 +140,17 @@ def evaluate(network, dataset):
     return compute_metrics(predicted, reference)
 
 
-def clamp_spd(matrices, floor=SPD_FLOOR):
-    """Clamp symmetric matrices to eigenvalues >= floor.
+def clamp_spd(matrices):
+    """Raise the eigenvalues of symmetric matrices to at least ``SPD_FLOOR``.
 
     Returns the repaired stack and the number of matrices that needed it.
     """
     matrices = np.asarray(matrices, dtype=float)
     vals, vecs = np.linalg.eigh(matrices)
-    needs = vals < floor
+    needs = vals < SPD_FLOOR
     if not needs.any():
         return matrices.copy(), 0
-    clamped = np.where(needs, floor, vals)
+    clamped = np.where(needs, SPD_FLOOR, vals)
     fixed = np.einsum("nab,nb,ncb->nac", vecs, clamped, vecs)
     fixed = 0.5 * (fixed + np.swapaxes(fixed, -1, -2))
     return fixed, int(needs.any(axis=-1).sum())

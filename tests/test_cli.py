@@ -367,6 +367,27 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
     assert report["stage"] == "report" and report["total_s"] > 0.0
 
 
+def test_incomplete_predicted_states_are_an_error(capsys, tmp_path):
+    argv = ["--preset", "desk-mini", "--workdir", str(tmp_path)]
+    for stage in (
+        ["generate-fields"],
+        ["homogenize"],
+        ["build-dataset"],
+        ["train"],
+        ["predict"],
+        ["solve-fine"],
+        ["solve-coarse", "--tensors", "direct"],
+        ["solve-coarse", "--tensors", "predicted"],
+    ):
+        assert main(stage + argv) == 0, stage
+    capsys.readouterr()
+    RunLayout(tmp_path).state_path("coarse_predicted", 2, "u").unlink()
+    assert main(["report"] + argv) == 1
+    err = capsys.readouterr().err
+    assert "poroscale report: error:" in err and "coarse_predicted_0002_u" in err
+    assert "`poroscale solve-coarse --tensors predicted`" in err
+
+
 def test_speedup_lines_survive_zero_prediction_time(tmp_path):
     layout = RunLayout(tmp_path)
     layout.dir("timing")

@@ -66,7 +66,7 @@ def test_elasticity_energy_of_linear_displacement(cells):
     d = grid.dimension
     space = P1Space(grid)
     C = isotropic_stiffness(2.0, 0.3, d)
-    A = space.assemble_elasticity(C)
+    A = space.assemble_elasticity(np.broadcast_to(C, grid.elements.shape[:1] + C.shape))
     rng = np.random.default_rng(17)
     for _ in range(5):
         lam = rng.normal(size=(d, d))
@@ -89,10 +89,12 @@ def test_symmetry_and_positive_semidefiniteness(cells):
     space = P1Space(grid)
     rng = np.random.default_rng(23)
     k = rng.uniform(0.2, 2.0, size=grid.n_nodes)
+    C = isotropic_stiffness(1.5, 0.25, grid.dimension)
+    C_e = np.broadcast_to(C, grid.elements.shape[:1] + C.shape)
     mats = [
         space.assemble_mass(k),
         space.assemble_diffusion(k),
-        space.assemble_elasticity(isotropic_stiffness(1.5, 0.25, grid.dimension)),
+        space.assemble_elasticity(C_e),
     ]
     for A in mats:
         dense = A.toarray()
@@ -135,12 +137,10 @@ def test_element_coefficient_paths_agree_for_constants():
     space = P1Space(grid)
     n_elem = grid.elements.shape[0]
     A_node = space.assemble_diffusion(2.5)
-    A_elem = space.assemble_diffusion(np.full(n_elem, 2.5), where="element")
+    A_elem = space.assemble_diffusion(np.full(n_elem, 2.5)[:, None, None] * np.eye(2))
     assert np.allclose(A_node.toarray(), A_elem.toarray(), atol=1e-13)
     with pytest.raises(ParameterError):
-        space.assemble_diffusion(np.ones(3), where="element")
-    with pytest.raises(ParameterError):
-        space.element_values(np.ones(3), where="nowhere")
+        space.assemble_diffusion(np.ones(3))
     with pytest.raises(ParameterError):
         space.assemble_diffusion(-1.0)
 

@@ -67,15 +67,18 @@ def laminate_elements(grid, axis, values):
     return np.asarray(values, dtype=float)[layer]
 
 
+def symmetrized(raw):
+    return 0.5 * (raw + raw.T)
+
+
 def test_laminate_series_parallel_means():
     # thin alternating layers stacked along x2; the fixed boundary data
     # perturbs only a layer-thickness neighbourhood, so the series/parallel
     # means emerge as the layers refine
     def diag(n_layers):
         grid = StructuredGrid((128, 128))
-        space = P1Space(grid)
         k_e = laminate_elements(grid, 1, [1.0, 4.0] * (n_layers // 2))
-        kstar = effective_permeability(space, k_e, where="element")
+        kstar = symmetrized(PatchEngine(grid).permeability(k_e))
         assert kstar[0, 0] == pytest.approx(2.5, rel=1e-10)  # parallel: exact
         assert abs(kstar[0, 1]) < 1e-12
         return kstar[1, 1]
@@ -89,9 +92,8 @@ def test_laminate_series_parallel_means():
 
 def test_laminate_elasticity_between_averages():
     grid = StructuredGrid((32, 32))
-    space = P1Space(grid)
     young_e = laminate_elements(grid, 0, [1.0, 5.0, 1.0, 5.0])
-    cstar = effective_elasticity(space, young_e, 0.3, where="element")
+    cstar = symmetrized(PatchEngine(grid).stiffness(young_e, 0.3))
     reuss = np.linalg.inv(
         0.5 * np.linalg.inv(isotropic_stiffness(1.0, 0.3, 2))
         + 0.5 * np.linalg.inv(isotropic_stiffness(5.0, 0.3, 2))
@@ -110,11 +112,12 @@ def test_laminate_elasticity_between_averages():
 def test_lognormal_patch_bounds(trial):
     rng = np.random.default_rng(100 + trial)
     grid = StructuredGrid((8, 8))
-    space = P1Space(grid)
+    engine = PatchEngine(grid)
     k = np.exp(rng.normal(0.0, np.sqrt(2.0), size=grid.n_nodes))
-    kstar, asym = effective_permeability(space, k, with_asymmetry=True)
-    assert asym <= 1e-8 * np.abs(kstar).max()
-    k_e = space.element_values(k)
+    k_e = engine.element_values(k)
+    raw = engine.permeability(k_e)
+    kstar = symmetrized(raw)
+    assert np.abs(raw - raw.T).max() <= 1e-8 * np.abs(kstar).max()
     harmonic = 1.0 / np.mean(1.0 / k_e)
     arithmetic = np.mean(k_e)
     eigs = np.linalg.eigvalsh(kstar)
@@ -138,10 +141,11 @@ def test_lognormal_patch_bounds_3d(trial):
 def test_elasticity_symmetry_and_spd():
     rng = np.random.default_rng(7)
     grid = StructuredGrid((6, 6))
-    space = P1Space(grid)
+    engine = PatchEngine(grid)
     young = np.exp(rng.normal(0.0, 0.8, size=grid.n_nodes)) + 0.5
-    cstar, asym = effective_elasticity(space, young, 0.3, with_asymmetry=True)
-    assert asym <= 1e-8 * np.abs(cstar).max()
+    raw = engine.stiffness(engine.element_values(young), 0.3)
+    cstar = symmetrized(raw)
+    assert np.abs(raw - raw.T).max() <= 1e-8 * np.abs(cstar).max()
     assert np.allclose(cstar, cstar.T, atol=1e-12)
     assert np.linalg.eigvalsh(cstar).min() > 0.0
 
@@ -239,10 +243,11 @@ def test_homogenized_constant_field_all_cells_equal():
         )
 
 
-def reference_permeability(space, k, where):
-    """Flux-averaged k* from full assembly and row/column elimination."""
+def reference_permeability(space, k_e):
+    """Flux-averaged k* of per-element values ``k_e`` from full assembly and
+    row/column elimination."""
     grid = space.grid
-    A = space.assemble_diffusion(k, where=where)
+    A = space.assemble_diffusion(k_e[:, None, None] * np.eye(grid.dimension))
     bnodes = grid.all_boundary_nodes()
     system = DirichletSystem(A, bnodes, np.arange(grid.n_nodes))
     values = grid.node_coords[bnodes]  # column j holds psi_j = x_j
@@ -250,17 +255,16 @@ def reference_permeability(space, k, where):
     psi = system.expand(LUSolver(system.matrix).solve(rhs), values)
     grads = space.class_gradients[grid.element_class]
     gpsi = np.einsum("eia,eil->eal", grads, psi[grid.elements])
-    k_e = space.element_values(k, where=where)
     raw = np.einsum("e,ejl->lj", k_e, gpsi) / grid.elements.shape[0]
     return 0.5 * (raw + raw.T)
 
 
-def reference_elasticity(space, young, eta, where):
-    """Energy Gram matrix C* from full assembly and row/column elimination."""
+def reference_elasticity(space, young_e, eta):
+    """Energy Gram matrix C* of per-element Young's moduli ``young_e`` from
+    full assembly and row/column elimination."""
     grid = space.grid
     d = grid.dimension
-    C_e = isotropic_stiffness(space.element_values(young, where=where), eta, d)
-    A = space.assemble_elasticity(C_e)
+    A = space.assemble_elasticity(isotropic_stiffness(young_e, eta, d))
     bnodes = grid.all_boundary_nodes()
     vdofs = (bnodes[:, None] * d + np.arange(d)).reshape(-1)
     pairs = strain_component_pairs(d)
@@ -291,15 +295,16 @@ def test_engine_matches_full_assembly_reference(cells, kind, where):
     z = rng.normal(size=n)
     coeff = np.exp(1.4 * z) if kind == "lognormal" else 10.0 + 2.0 * np.clip(z, -4, 4)
     engine = PatchEngine(grid)
+    if where == "node":
+        perm = effective_permeability(engine, coeff)
+        stiff = effective_elasticity(engine, coeff, 0.3)
+        coeff = space.element_values(coeff)
+    else:
+        perm = symmetrized(engine.permeability(coeff))
+        stiff = symmetrized(engine.stiffness(coeff, 0.3))
     for got, ref in (
-        (
-            effective_permeability(engine, coeff, where=where),
-            reference_permeability(space, coeff, where),
-        ),
-        (
-            effective_elasticity(engine, coeff, 0.3, where=where),
-            reference_elasticity(space, coeff, 0.3, where),
-        ),
+        (perm, reference_permeability(space, coeff)),
+        (stiff, reference_elasticity(space, coeff, 0.3)),
     ):
         assert np.abs(got - ref).max() <= 10.0 * SOLVE_TOL * np.abs(ref).max()
 
@@ -381,7 +386,10 @@ def test_solve_returns_matrix_times_solution(cells):
     coeff = np.exp(np.random.default_rng(47).normal(size=grid.elements.shape[0]))
     eta = 0.3
     cases = [
-        (engine.diffusion, engine.assemble_diffusion(coeff, where="element")),
+        (
+            engine.diffusion,
+            engine.assemble_diffusion(coeff[:, None, None] * np.eye(grid.dimension)),
+        ),
         (
             engine.elasticity(eta),
             engine.assemble_elasticity(isotropic_stiffness(coeff, eta, grid.dimension)),

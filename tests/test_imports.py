@@ -130,3 +130,126 @@ def test_no_unreferenced_definitions():
         for path in MODULES
     }
     assert unreferenced_definitions(sources) == []
+
+
+# (module, function, parameter) kept although no src/ call sets it: the
+# console script calls ``main()`` and tests pass ``argv``
+UNSET_DEFAULT_EXEMPT = {("poroscale/cli.py", "main", "argv")}
+
+
+def _defaulted_parameters(function, method):
+    """``(name, position)`` of each defaulted parameter of ``function``;
+    the position counts positional slots after ``self``, None for
+    keyword-only parameters."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    static = any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in function.decorator_list
+    )
+    skip = int(method and not static)
+    first = len(positional) - len(args.defaults)
+    found = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    found += [
+        (a.arg, None)
+        for a, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return found
+
+
+def _calls(tree):
+    """``(name, positional count, keywords, starred)`` of every call."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        else:
+            continue
+        keywords = {k.arg for k in node.keywords}
+        starred = None in keywords or any(
+            isinstance(a, ast.Starred) for a in node.args
+        )
+        yield name, len(node.args), keywords, starred
+
+
+def unset_defaults(sources):
+    """``(module, function, parameter)`` of defaulted parameters of functions
+    and methods that no call in ``sources`` sets, matching calls by name; a
+    class name stands for its ``__init__``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    calls = {}
+    for tree in trees.values():
+        for name, n_args, keywords, starred in _calls(tree):
+            calls.setdefault(name, []).append((n_args, keywords, starred))
+    unset = []
+    for module, tree in trees.items():
+        for owner in ast.walk(tree):
+            body = getattr(owner, "body", None)
+            if not isinstance(body, list):
+                continue  # a lambda's body is one expression
+            method = isinstance(owner, ast.ClassDef)
+            for function in body:
+                if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                names = [function.name]
+                if method and function.name == "__init__":
+                    names.append(owner.name)
+                sites = [c for name in names for c in calls.get(name, [])]
+                for param, position in _defaulted_parameters(function, method):
+                    key = (module, function.name, param)
+                    if key not in UNSET_DEFAULT_EXEMPT and not any(
+                        starred
+                        or param in keywords
+                        or position is not None and n_args > position
+                        for n_args, keywords, starred in sites
+                    ):
+                        unset.append(key)
+    return unset
+
+
+def test_scan_flags_only_unset_defaults():
+    sources = {
+        "a": (
+            "def by_keyword(x, y=1): pass\n"
+            "def by_position(x, y=1, z=2): pass\n"
+            "def by_star(x, y=1): pass\n"
+            "def by_double_star(x, *, y=1): pass\n"
+            "def never(x, y=1, *, z=2): pass\n"
+            "class Box:\n"
+            "    def __init__(self, size=1, fill=0): pass\n"
+            "    def grow(self, by=1): pass\n"
+            "    @staticmethod\n"
+            "    def make(size=1): pass\n"
+        ),
+        "b": (
+            "import a\n"
+            "a.by_keyword(0, y=2)\n"
+            "a.by_position(0, 1)\n"
+            "a.by_star(*args)\n"
+            "a.by_double_star(0, **options)\n"
+            "a.never(0)\n"
+            "box = a.Box(3)\n"
+            "box.grow()\n"
+            "a.Box.make(2)\n"
+        ),
+    }
+    assert sorted(unset_defaults(sources)) == [
+        ("a", "__init__", "fill"),
+        ("a", "by_position", "z"),
+        ("a", "grow", "by"),
+        ("a", "never", "y"),
+        ("a", "never", "z"),
+    ]
+
+
+def test_no_unset_defaults():
+    sources = {
+        str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+        for path in MODULES
+    }
+    assert unset_defaults(sources) == []

@@ -70,10 +70,10 @@ def test_modes_equal_the_per_dimension_einsum_bit_for_bit(cells, length_sq):
 
 def test_axis_two_node_limits():
     coords = np.array([0.0, 1.0])
-    vals, _ = axis_covariance_eig(coords, 1e12, sigma2=2.0)
-    assert np.allclose(vals, [4.0, 0.0], atol=1e-6)
-    vals, _ = axis_covariance_eig(coords, 1e-12, sigma2=2.0)
-    assert np.allclose(vals, [2.0, 2.0], atol=1e-12)
+    vals, _ = axis_covariance_eig(coords, 1e12)
+    assert np.allclose(vals, [2.0, 0.0], atol=1e-6)
+    vals, _ = axis_covariance_eig(coords, 1e-12)
+    assert np.allclose(vals, [1.0, 1.0], atol=1e-12)
 
 
 def test_axis_eigendecomposition_consistency():
