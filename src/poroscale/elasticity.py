@@ -45,28 +45,21 @@ def lame_parameters(E, eta):
     if not 0.0 < eta < 0.5:
         raise ParameterError(f"Poisson ratio must lie in (0, 0.5), got {eta}")
     E = np.asarray(E, dtype=float)
-    if np.any(E <= 0.0):
-        raise ParameterError("Young's modulus must be positive everywhere")
+    if not np.all(np.isfinite(E) & (E > 0.0)):
+        raise ParameterError("Young's modulus must be finite and positive everywhere")
     mu = E / (2.0 * (1.0 + eta))
     lam = E * eta / ((1.0 + eta) * (1.0 - 2.0 * eta))
     return mu, lam
 
 
 def isotropic_stiffness(E, eta, d):
-    """Stiffness matrix (Mandel form) of an isotropic medium.
+    """Stiffness matrix (Mandel form) of an isotropic medium of modulus ``E``.
 
-    ``E`` may be scalar or an array; the result gains leading axes to match.
+    The matrix is linear in ``E``: a varying modulus scales the one of 1.
     """
-    mu, lam = lame_parameters(E, eta)
-    m = n_strain_components(d)
-    mu = np.asarray(mu, dtype=float)
-    C = np.zeros(mu.shape + (m, m))
-    for i in range(d):
-        for j in range(d):
-            C[..., i, j] = lam
-        C[..., i, i] += 2.0 * mu
-    for i in range(d, m):
-        C[..., i, i] = 2.0 * mu
+    mu, lam = lame_parameters(float(E), eta)
+    C = np.diag(np.full(n_strain_components(d), 2.0 * mu))
+    C[:d, :d] += lam
     return C
 
 

@@ -6,6 +6,14 @@ across the mesh. Bilinear forms use exact integration of piecewise-linear
 data (coefficients are taken elementwise constant, nodal inputs reduced to
 vertex means).
 
+Assembly is one element scatter. The scalar CSR pattern of the grid, with
+the slot of every entry of every element matrix, is built once per grid
+(:attr:`~poroscale.grid.StructuredGrid.node_pattern`); the slots of vector
+and coupling matrices, whose entries are node blocks, follow from it by
+arithmetic. Each class adds its element matrices, in blocks of ``_BLOCK``
+elements, into one values array, so no temporary grows with the grid. An
+isotropic stiffness is its unit-modulus matrix times Young's modulus.
+
 Degree-of-freedom layout:
   scalar fields   dof = node id
   vector fields   dof = node_id * d + component   (node-major)
@@ -32,8 +40,9 @@ from scipy.sparse.linalg import splu
 from .elasticity import SQRT2, n_strain_components, strain_component_pairs
 from .errors import NumericError, ParameterError
 
-# elements per COO accumulation block; keeps peak assembly memory flat
-_CHUNK = 1 << 18
+# elements per scatter block, which bounds the scratch of an assembly; a
+# class of a 16^3 patch fits in one block, so each of its entries is one sum
+_BLOCK = 4096
 # relative residual every linear solve must reach
 SOLVE_TOL = 1e-8
 
@@ -56,16 +65,10 @@ class P1Space:
         vertex i of the representative element.
         """
         grid = self.grid
-        d = self.d
-        n_class = grid.n_classes
-        grads = np.empty((n_class, d + 1, d))
-        for t in range(n_class):
-            # interleaved element order puts one element of each class first
-            verts = grid.elements[t]
-            coords = grid.node_coords[verts]
-            vand = np.hstack([np.ones((d + 1, 1)), coords])
-            grads[t] = np.linalg.inv(vand)[1:, :].T
-        return grads
+        # interleaved element order puts one element of each class first
+        coords = grid.node_coords[grid.elements[: grid.n_classes]]
+        vand = np.concatenate([np.ones(coords.shape[:2] + (1,)), coords], axis=2)
+        return np.linalg.inv(vand)[:, 1:, :].transpose(0, 2, 1)
 
     @cached_property
     def class_strain(self):
@@ -111,17 +114,11 @@ class P1Space:
 
     def assemble_mass(self, coeff=1.0):
         """Mass matrix of integral(c * p * q), exact for P1; c scalar or nodal."""
-        ce = self.element_values(coeff)
         d = self.d
-        vol = self.grid.element_volume
-        base = vol / ((d + 1) * (d + 2)) * (np.eye(d + 1) + 1.0)
-
-        def blocks(sl):
-            conn = self.grid.elements[sl]
-            local = ce[sl, None, None] * base
-            return conn[:, :, None], conn[:, None, :], local
-
-        return self._accumulate(blocks, (self.grid.n_nodes, self.grid.n_nodes))
+        base = self.grid.element_volume / ((d + 1) * (d + 2)) * (np.eye(d + 1) + 1.0)
+        reference = np.broadcast_to(base, (self.grid.n_classes,) + base.shape)
+        ce = self.element_values(coeff)
+        return self._assemble((1, 1), self._scaled(reference, ce))
 
     def assemble_diffusion(self, k):
         """Stiffness matrix of the form integral(grad q . k grad p).
@@ -130,56 +127,35 @@ class P1Space:
         or an array of per-element d x d tensors with shape (n_elem, d, d).
         """
         d = self.d
-        vol = self.grid.element_volume
-        grads = self.class_gradients
-        cls = self.grid.element_class
         k = np.asarray(k, dtype=float)
-        tensor = k.ndim == 3
-        if tensor:
+        if k.ndim == 3:
             if k.shape != (self.grid.elements.shape[0], d, d):
                 raise ParameterError(
                     f"tensor coefficient must have shape (n_elem, {d}, {d})"
                 )
-        else:
-            k = self.element_values(k)
-            if np.any(k <= 0.0):
-                raise ParameterError("diffusion coefficient must be positive")
-        gram = np.einsum("tia,tja->tij", grads, grads)
+            return self._form((1, 1), self.class_gradients, k, self.element_values(1.0))
+        k = self.element_values(k)
+        if not np.all(k > 0.0):
+            raise ParameterError("diffusion coefficient must be positive")
+        return self._form((1, 1), self.class_gradients, np.eye(d), k)
 
-        def blocks(sl):
-            conn = self.grid.elements[sl]
-            if tensor:
-                g = grads[cls[sl]]
-                local = vol * np.einsum("eia,eab,ejb->eij", g, k[sl], g)
-            else:
-                local = vol * k[sl, None, None] * gram[cls[sl]]
-            return conn[:, :, None], conn[:, None, :], local
+    def assemble_elasticity(self, C, coeff=1.0):
+        """Vector stiffness matrix of integral(c * eps(v) . C eps(u)).
 
-        return self._accumulate(blocks, (self.grid.n_nodes, self.grid.n_nodes))
-
-    def assemble_elasticity(self, C):
-        """Vector stiffness matrix from stored stiffness matrices.
-
-        ``C`` holds one matrix per element, shape (n_elem, m, m), in the
-        sqrt(2)-weighted convention.
+        ``C`` is one stiffness matrix, shape (m, m), or one per element,
+        shape (n_elem, m, m), in the sqrt(2)-weighted convention; ``coeff``
+        is a scalar or nodal factor, reduced to vertex means. An isotropic
+        medium passes its unit-modulus matrix and its nodal Young's moduli:
+        at a fixed Poisson ratio its stiffness is linear in the modulus.
         """
-        d = self.d
-        m = n_strain_components(d)
+        m = n_strain_components(self.d)
         C = np.asarray(C, dtype=float)
-        if C.shape != (self.grid.elements.shape[0], m, m):
-            raise ParameterError(f"stiffness must have shape (n_elem, {m}, {m})")
-        vol = self.grid.element_volume
-        strain = self.class_strain
-        cls = self.grid.element_class
-        nd = self.grid.n_nodes * d
-
-        def blocks(sl):
-            edof = self._vector_dofs(sl)
-            B = strain[cls[sl]]
-            local = vol * np.einsum("eia,eij,ejb->eab", B, C[sl], B)
-            return edof[:, :, None], edof[:, None, :], local
-
-        return self._accumulate(blocks, (nd, nd))
+        if C.shape not in ((m, m), (self.grid.elements.shape[0], m, m)):
+            raise ParameterError(
+                f"stiffness must have shape ({m}, {m}) or (n_elem, {m}, {m})"
+            )
+        strain = self.class_strain.transpose(0, 2, 1)
+        return self._form((self.d,) * 2, strain, C, self.element_values(coeff))
 
     def assemble_coupling(self, coeff=1.0):
         """Pressure-displacement coupling blocks.
@@ -191,62 +167,76 @@ class P1Space:
         adjoints of each other.
         """
         d = self.d
-        vol = self.grid.element_volume
-        grads = self.class_gradients
-        cls = self.grid.element_class
-        n_nodes = self.grid.n_nodes
+        ce = self.element_values(coeff)
         # integral over one element of phi_i * d(phi_j)/dx_c = vol/(d+1) * G[j,c]
-        gflat = coeff * vol / (d + 1) * grads.reshape(grads.shape[0], -1)
-
-        def div_blocks(sl):
-            conn = self.grid.elements[sl]
-            edof = self._vector_dofs(sl)
-            vals = np.broadcast_to(
-                gflat[cls[sl]][:, None, :], (conn.shape[0], d + 1, (d + 1) * d)
-            )
-            return (
-                np.broadcast_to(conn[:, :, None], vals.shape),
-                np.broadcast_to(edof[:, None, :], vals.shape),
-                vals,
-            )
-
-        grad_rep = np.tile(grads.transpose(0, 2, 1), (1, d + 1, 1)) * (
-            coeff * vol / (d + 1)
+        G = self.grid.element_volume / (d + 1) * self.class_gradients
+        div_ref = np.repeat(G.reshape(G.shape[0], 1, -1), d + 1, axis=1)
+        grad_ref = np.tile(G.transpose(0, 2, 1), (1, d + 1, 1))
+        return (
+            self._assemble((1, d), self._scaled(div_ref, ce)),
+            self._assemble((d, 1), self._scaled(grad_ref, ce)),
         )
 
-        def grad_blocks(sl):
-            conn = self.grid.elements[sl]
-            edof = self._vector_dofs(sl)
-            vals = grad_rep[cls[sl]]
-            return (
-                np.broadcast_to(edof[:, :, None], vals.shape),
-                np.broadcast_to(conn[:, None, :], vals.shape),
-                vals,
-            )
+    def _form(self, dofs, G, T, ce):
+        """Matrix of the element matrices vol * ce[e] * G T G^T, with ``G``
+        (n_class, n_local, r) and ``T`` one (r, r) tensor or one per element."""
+        vol = self.grid.element_volume
+        if T.ndim == 2:
+            reference = vol * np.einsum("tia,ab,tjb->tij", G, T, G)
+            return self._assemble(dofs, self._scaled(reference, ce))
 
-        div_mat = self._accumulate(div_blocks, (n_nodes, n_nodes * d))
-        grad_mat = self._accumulate(grad_blocks, (n_nodes * d, n_nodes))
-        return div_mat, grad_mat
+        def local(t, sl):
+            K = vol * np.einsum("ia,eab,jb->eij", G[t], T[sl], G[t])
+            return ce[sl, None, None] * K
 
-    def _vector_dofs(self, sl):
-        conn = self.grid.elements[sl]
-        return (conn[:, :, None] * self.d + np.arange(self.d)).reshape(
-            conn.shape[0], -1
-        )
+        return self._assemble(dofs, local)
 
-    def _accumulate(self, block_fn, shape):
-        n_elem = self.grid.elements.shape[0]
-        total = None
-        for start in range(0, n_elem, _CHUNK):
-            rows, cols, vals = block_fn(slice(start, min(start + _CHUNK, n_elem)))
-            rows = np.broadcast_to(rows, vals.shape)
-            cols = np.broadcast_to(cols, vals.shape)
-            part = sparse.coo_matrix(
-                (vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape
-            ).tocsr()
-            total = part if total is None else total + part
-        total.sum_duplicates()
-        return total
+    # ------------------------------------------------------------------
+    # the element scatter
+
+    @staticmethod
+    def _scaled(reference, ce):
+        """Element matrices ``ce[e] * reference[class(e)]`` for :meth:`_scatter`."""
+        return lambda t, sl: ce[sl, None, None] * reference[t]
+
+    def _blocks(self, dofs):
+        """Element blocks of the scatter into the values of the BSR matrix of
+        R x C node blocks, ``dofs = (R, C)``, on the grid's node pattern.
+
+        Yields ``(t, sl, low, at)``: a slice ``sl`` of at most ``_BLOCK``
+        elements of class ``t``, and the value positions ``low + at`` of
+        their element matrices, with ``at`` of shape (n, (d+1)R, (d+1)C).
+        """
+        R, C = dofs
+        slots = self.grid.node_pattern[2]
+        k = self.grid.n_classes
+        # entry (p, q) of node block s sits at R*C*s + C*p + q
+        within = C * np.arange(R)[:, None, None] + np.arange(C)
+        for t in range(k):
+            for start in range(0, slots.shape[1], _BLOCK):
+                s = slots[t, start : start + _BLOCK, :, None, :, None]
+                at = np.int64(R * C) * s + within
+                low = at.min()
+                at -= low
+                sl = slice(t + k * start, t + k * (start + _BLOCK), k)
+                yield t, sl, low, at.reshape(at.shape[0], at.shape[1] * R, -1)
+
+    @staticmethod
+    def _scatter(blocks, local, size):
+        """``size`` values summed from the matrices ``local(t, sl)`` of the
+        :meth:`_blocks`, each block into the range of values it touches."""
+        values = np.zeros(size)
+        for t, sl, low, at in blocks:
+            part = np.bincount(at.ravel(), local(t, sl).ravel())
+            values[low : low + part.size] += part
+        return values
+
+    def _assemble(self, dofs, local):
+        indptr, indices, _ = self.grid.node_pattern
+        values = self._scatter(self._blocks(dofs), local, np.prod(dofs) * indices.size)
+        shape = tuple(n * self.grid.n_nodes for n in dofs)
+        blocks = (values.reshape(-1, *dofs), indices, indptr)
+        return sparse.bsr_matrix(blocks, shape=shape).tocsr()
 
 
 # ----------------------------------------------------------------------

@@ -119,6 +119,27 @@ class StructuredGrid:
         return float(np.prod(self.spacing)) / self.n_classes
 
     @cached_property
+    def node_pattern(self):
+        """Scalar CSR pattern of the node graph, ``(indptr, indices, slots)``.
+
+        Row a lists, in increasing order, every node that shares an element
+        with node a. ``slots[t, c, i, j]`` is the position in ``indices`` of
+        the entry (elements[e, i], elements[e, j]) of the element e of class
+        t in cell c. All three are int32 and built once per grid.
+        """
+        n, k = self.n_nodes, self.n_classes
+        conn = self.elements.reshape(-1, k, self.dimension + 1).swapaxes(0, 1)
+        keys = conn[..., :, None] * n + conn[..., None, :]
+        # a plain sort finds the distinct keys (np.unique hashes, ~10x slower)
+        distinct = np.sort(keys, axis=None)
+        distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
+        slots = np.empty(keys.shape, dtype=np.int32)
+        for t in range(k):
+            slots[t] = np.searchsorted(distinct, keys[t])
+        indptr = np.searchsorted(distinct, np.arange(n + 1) * n).astype(np.int32)
+        return indptr, (distinct % n).astype(np.int32), slots
+
+    @cached_property
     def dissection_order(self):
         """Node ids in geometric nested-dissection order.
 

@@ -20,16 +20,17 @@ the symmetrized tensors that :func:`homogenize_domain` stores.
 Every cell's nodal values come from one strided view of the fine field,
 :func:`cell_windows`, which also gives the network inputs of
 :mod:`poroscale.dataset`. All cells share one patch grid, so a
-:class:`PatchEngine` builds the sparsity pattern of each operator once; a
-patch's matrix is then a sum of reference element matrices weighted by the
-element coefficient (at fixed Poisson ratio the isotropic stiffness is
-linear in Young's modulus). The boundary dofs are eliminated by index, the
-one Dirichlet policy of the package, on one matrix A(c) per solve: with x0
-the boundary data, zero inside, each problem solves A_II x_I = -(A x0)_I
-with residual (A x)_I. In the natural order of the interior dofs A_II is an
-SPD band matrix of half-bandwidth kd (133 for diffusion, 401 for elasticity
-on a 12^3 patch), which LAPACK's band Cholesky factors in one zeroed buffer
-per solve (``overwrite_ab``), at a cost of order n_I kd^2.
+:class:`PatchEngine` builds the element blocks of each operator once, for
+the scatter of :mod:`poroscale.fem`; a patch's matrix is then summed from
+reference element matrices weighted by the element coefficient (at fixed
+Poisson ratio the isotropic stiffness is linear in Young's modulus). The
+boundary dofs are eliminated by index, the one Dirichlet policy of the
+package, on one matrix A(c) per solve: with x0 the boundary data, zero
+inside, each problem solves A_II x_I = -(A x0)_I with residual (A x)_I. In
+the natural order of the interior dofs A_II is an SPD band matrix of
+half-bandwidth kd (133 for diffusion, 401 for elasticity on a 12^3 patch),
+which LAPACK's band Cholesky factors in one zeroed buffer per solve
+(``overwrite_ab``), at a cost of order n_I kd^2.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -108,34 +109,31 @@ class CellOperator:
     """Dirichlet cell problems ``A(c) x = 0`` with ``x = g`` on the boundary.
 
     ``A(c) = sum_e c_e K[class(e)]`` is linear in the element coefficient
-    ``c``. Its CSC pattern is built once, with an int32 slot for every entry
-    of every element matrix. ``band`` pairs the slot of each lower entry of
-    the interior block A_II with its flat index in the Fortran-ordered
+    ``c``, and ``dofs`` is its dof count per node. Its element blocks, of
+    the scatter of :class:`~poroscale.fem.P1Space`, are built once; each
+    solve sums the values of A(c) through them into the node blocks of the
+    grid's ``pattern``. ``band`` pairs the slot of each lower entry of the
+    interior block A_II with its flat index in the Fortran-ordered
     (kd+1, n_I) band array. Column j of ``data`` holds problem j's values g.
-    Each solve builds one sparse matrix, A(c), for its rhs, residual and A x.
     """
 
-    def __init__(self, grid, edofs, local, boundary, data):
-        n = int(edofs.max()) + 1
-        elems = [np.flatnonzero(grid.element_class == t) for t in range(len(local))]
-        # column-major keys of the element-matrix entries sort into CSC order;
-        # a plain sort finds the distinct ones (np.unique hashes, ~10x slower)
-        entry_keys = [edofs[e][:, None, :] * n + edofs[e][:, :, None] for e in elems]
-        keys = np.concatenate(entry_keys, axis=None)
-        keys.sort()
-        keys = keys[np.append(True, keys[1:] != keys[:-1])]
-        vol = grid.element_volume
-        self.classes = [
-            (e, np.searchsorted(keys, k).astype(np.int32).ravel(), vol * K)
-            for e, k, K in zip(elems, entry_keys, local)
-        ]
-        self.pattern = (keys % n, np.searchsorted(keys, np.arange(n + 1) * n))
+    def __init__(self, space, dofs, reference, boundary, data):
+        self.dofs, self.reference = dofs, reference
+        indptr, indices, _ = space.grid.node_pattern
+        self.pattern = (indices, indptr)
+        self.blocks = list(space._blocks((dofs, dofs)))
+        n = dofs * (indptr.size - 1)
         self.interior = np.setdiff1d(np.arange(n), boundary)
         self.boundary, self.data = boundary, data
         # interior number of every dof, -1 on the boundary
         number = np.full(n, -1)
         number[self.interior] = np.arange(self.interior.size)
-        rows, cols = number[self.pattern[0]], number[keys // n]
+        # dof row and column of every value, entry (p, q) of node block (a, b)
+        block_row = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        shape, local = (indices.size, dofs, dofs), np.arange(dofs)
+        rows = np.broadcast_to(dofs * block_row[:, None, None] + local[:, None], shape)
+        cols = np.broadcast_to(dofs * indices[:, None, None] + local, shape)
+        rows, cols = number[rows.ravel()], number[cols.ravel()]
         lower = (cols >= 0) & (rows >= cols)
         self.kd = int((rows - cols)[lower].max(initial=0))
         # a[i, j] with i >= j sits at ab[i - j, j], in column-major order; in
@@ -146,12 +144,10 @@ class CellOperator:
 
     def solve(self, coeff):
         """Solutions of all problems, (n, n_problems), and A(c) times them."""
-        values = np.zeros(self.pattern[0].size)
-        for elems, slots, k in self.classes:
-            weights = (coeff[elems, None, None] * k).ravel()
-            values += np.bincount(slots, weights, values.size)
-        n = self.pattern[1].size - 1
-        A = sparse.csc_matrix((values, *self.pattern), shape=(n, n))
+        R, n = self.dofs, self.interior.size + self.boundary.size
+        scaled = P1Space._scaled(self.reference, coeff)
+        values = P1Space._scatter(self.blocks, scaled, R * R * self.pattern[0].size)
+        A = sparse.bsr_matrix((values.reshape(-1, R, R), *self.pattern), shape=(n, n))
         x = np.zeros((n, self.data.shape[1]))
         x[self.boundary] = self.data
         rhs = -(A @ x)[self.interior]
@@ -185,9 +181,9 @@ class PatchEngine(P1Space):
     def diffusion(self):
         """Scalar problems with boundary data psi_j = x_j."""
         grads = self.class_gradients
-        local = np.einsum("tia,tja->tij", grads, grads)
+        reference = self.grid.element_volume * np.einsum("tia,tja->tij", grads, grads)
         coords = self.grid.node_coords[self.bnodes]
-        return CellOperator(self.grid, self.grid.elements, local, self.bnodes, coords)
+        return CellOperator(self, 1, reference, self.bnodes, coords)
 
     def elasticity(self, eta):
         """Vector problems at unit Young's modulus, built once per ``eta``.
@@ -197,14 +193,14 @@ class PatchEngine(P1Space):
         if eta not in self._elasticity:
             B, d = self.class_strain, self.d
             C = isotropic_stiffness(1.0, eta, d)
-            local = np.einsum("tia,ij,tjb->tab", B, C, B)
+            reference = self.grid.element_volume * np.einsum("tia,ij,tjb->tab", B, C, B)
             coords = self.grid.node_coords[self.bnodes]
             pairs = strain_component_pairs(d)
             data = np.stack([coords @ unit_strain_tensor(p, d) for p in pairs], -1)
             self._elasticity[eta] = CellOperator(
-                self.grid,
-                self._vector_dofs(slice(None)),
-                local,
+                self,
+                d,
+                reference,
                 (self.bnodes[:, None] * d + np.arange(d)).ravel(),
                 data.reshape(-1, len(pairs)),  # node-major vector dofs
             )

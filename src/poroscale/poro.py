@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .elasticity import isotropic_stiffness, n_strain_components
+from .elasticity import isotropic_stiffness, lame_parameters, n_strain_components
 from .errors import ParameterError
 from .fem import LUSolver, P1Space, constrain_system
 from .grid import StructuredGrid
@@ -122,7 +122,7 @@ def _fixed_dofs(grid, p1):
     return dofs, values
 
 
-def _march(grid, space, mobility_B, stiffness_A, constants, ts):
+def _march(grid, space, mobility, stiffness, modulus, constants, ts):
     """Shared implicit stepping loop; returns states at t=0, tau, ..., t_max."""
     n_p = grid.n_nodes
     d = grid.dimension
@@ -133,12 +133,16 @@ def _march(grid, space, mobility_B, stiffness_A, constants, ts):
     # each node in dissection order gives its pressure, then its d components
     nodes = grid.dissection_order[:, None]
     order = np.hstack([nodes, n_p + nodes * d + np.arange(d)]).ravel()
-    # the block system is built inline, so nothing holds it past elimination
+    # B, A (stiffness times modulus), G and the block system are released
+    # before the factorization, so it runs beside none of them
+    B = space.assemble_diffusion(mobility)
+    A = space.assemble_elasticity(stiffness, modulus)
     reduced, fold, expand = constrain_system(
-        sparse.bmat([[Mm / tau + mobility_B, D_pu / tau], [G_up, stiffness_A]]),
+        sparse.bmat([[Mm / tau + B, D_pu / tau], [G_up, A]]),
         *_fixed_dofs(grid, ts.p1),
         order,
     )
+    del B, A, G_up
     solver = LUSolver(reduced)
 
     if constants.source != 0.0:
@@ -171,14 +175,11 @@ def solve_poroelasticity(
     """
     space = P1Space(grid)
     perm = np.asarray(fields.perm, dtype=float)
-    if np.any(perm <= 0.0):
-        raise ParameterError("permeability must be positive everywhere")
-    mobility_B = space.assemble_diffusion(perm / constants.nu_f)
-    young_e = space.element_values(fields.young)
-    stiffness_A = space.assemble_elasticity(
-        isotropic_stiffness(young_e, fields.eta, grid.dimension)
-    )
-    return _march(grid, space, mobility_B, stiffness_A, constants, ts)
+    if not np.all(np.isfinite(perm) & (perm > 0.0)):
+        raise ParameterError("permeability must be finite and positive everywhere")
+    lame_parameters(fields.young, fields.eta)  # validates E and the Poisson ratio
+    C = isotropic_stiffness(1.0, fields.eta, grid.dimension)
+    return _march(grid, space, perm / constants.nu_f, C, fields.young, constants, ts)
 
 
 def solve_coarse(
@@ -192,30 +193,27 @@ def solve_coarse(
     coarse_cells = tuple(int(n) for n in coarse_cells)
     grid = StructuredGrid(coarse_cells)
     d = grid.dimension
-    m = n_strain_components(d)
     n_cells = int(np.prod(coarse_cells))
-    if effective.perm.shape != (n_cells, d, d) or effective.stiffness.shape != (
-        n_cells,
-        m,
-        m,
-    ):
-        raise ParameterError("effective tensor arrays do not match the coarse grid")
-    perm_bad = np.linalg.eigvalsh(effective.perm).min(axis=1) <= 0.0
-    stiff_bad = np.linalg.eigvalsh(effective.stiffness).min(axis=1) <= 0.0
-    bad = np.flatnonzero(perm_bad | stiff_bad)
-    if bad.size:
-        i = bad[0]
-        name = "permeability" if perm_bad[i] else "stiffness"
-        raise ParameterError(f"effective {name} not positive definite in cell {i}")
+    m = n_strain_components(d)
+    checks = ("permeability", effective.perm, d), ("stiffness", effective.stiffness, m)
+    for name, T, r in checks:
+        if T.shape != (n_cells, r, r):
+            raise ParameterError(f"effective {name} does not match the coarse grid")
+        finite = np.isfinite(T).all(axis=(1, 2))
+        # eigvalsh can return positive eigenvalues for NaN entries
+        eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], T, 0.0))
+        bad = np.flatnonzero(~finite | (eigs.min(axis=1) <= 0.0))
+        if bad.size:
+            raise ParameterError(
+                f"effective {name} in cell {bad[0]} is not finite and positive definite"
+            )
 
     space = P1Space(grid)
     # element order is cell-major, orientation classes fastest
     cell_of_element = np.repeat(np.arange(n_cells), grid.n_classes)
     k_e = effective.perm[cell_of_element] / constants.nu_f
     C_e = effective.stiffness[cell_of_element]
-    mobility_B = space.assemble_diffusion(k_e)
-    stiffness_A = space.assemble_elasticity(C_e)
-    return _march(grid, space, mobility_B, stiffness_A, constants, ts)
+    return _march(grid, space, k_e, C_e, 1.0, constants, ts)
 
 
 def _interpolate_state(coarse_grid, state, fine_grid):
@@ -239,8 +237,9 @@ def error_norms(fine_state, coarse_states, fine_grid, coarse_grid, fields):
     space = P1Space(fine_grid)
     mass = space.assemble_mass(1.0)
     diffusion = space.assemble_diffusion(np.asarray(fields.perm, dtype=float))
-    young_e = space.element_values(fields.young)
-    stiffness = space.assemble_elasticity(isotropic_stiffness(young_e, fields.eta, d))
+    stiffness = space.assemble_elasticity(
+        isotropic_stiffness(1.0, fields.eta, d), fields.young
+    )
 
     def ratio(err, ref, quad):
         num = float(err @ (quad @ err))

@@ -1,10 +1,19 @@
 """Element assembly against hand quadrature, boundary elimination, solvers."""
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from poroscale.elasticity import isotropic_stiffness, n_strain_components
+import poroscale.fem as fem
+from poroscale.elasticity import (
+    SQRT2,
+    isotropic_stiffness,
+    n_strain_components,
+    strain_component_pairs,
+)
 from poroscale.errors import NumericError, ParameterError
 from poroscale.fem import DirichletSystem, LUSolver, P1Space, constrain_system
 from poroscale.grid import StructuredGrid
@@ -35,6 +44,151 @@ def naive_mass(grid, c_nodal):
     for el in grid.elements:
         A[np.ix_(el, el)] += c_nodal[el].mean() * base
     return A
+
+
+def naive_strain(g):
+    """Weighted strain operator (m, (d+1)*d) of one element's gradients."""
+    d = g.shape[1]
+    B = np.zeros((n_strain_components(d), (d + 1) * d))
+    for I, (r, s) in enumerate(strain_component_pairs(d)):
+        for j in range(d + 1):
+            if r == s:
+                B[I, j * d + r] = g[j, r]
+            else:
+                B[I, j * d + r] = g[j, s] / SQRT2
+                B[I, j * d + s] = g[j, r] / SQRT2
+    return B
+
+
+def dense_assembly(grid, rows, cols, local):
+    """Dense matrix and entry pattern summed by a loop over elements.
+
+    ``rows``/``cols`` are the dofs per node of rows and columns, and
+    ``local(e, g)`` the element matrix of element e with gradients g.
+    """
+    n = grid.n_nodes
+    A = np.zeros((rows * n, cols * n))
+    touched = np.zeros(A.shape, dtype=bool)
+    for e, el in enumerate(grid.elements):
+        g = naive_gradients(grid.node_coords[el])
+        r = (el[:, None] * rows + np.arange(rows)).ravel()
+        c = (el[:, None] * cols + np.arange(cols)).ravel()
+        A[np.ix_(r, c)] += local(e, g)
+        touched[np.ix_(r, c)] = True
+    return A, touched
+
+
+def assembly_cases(grid):
+    """(name, assembled matrix, dense reference, reference pattern) for every
+    assemble_* and every input form."""
+    d, n_elem = grid.dimension, grid.elements.shape[0]
+    vol = grid.element_volume
+    rng = np.random.default_rng(59)
+    nodal = rng.uniform(0.5, 2.0, grid.n_nodes)
+    ce = nodal[grid.elements].mean(axis=1)
+    per_elem = rng.uniform(0.5, 2.0, n_elem)
+    m = n_strain_components(d)
+    C1 = isotropic_stiffness(1.0, 0.3, d)
+    Q = rng.normal(size=(n_elem, m, m))
+    C_e = Q @ Q.transpose(0, 2, 1) + m * np.eye(m)
+    Q = rng.normal(size=(n_elem, d, d))
+    k_e = Q @ Q.transpose(0, 2, 1) + d * np.eye(d)
+    base = vol / ((d + 1) * (d + 2)) * (np.eye(d + 1) + 1.0)
+    space = P1Space(grid)
+    div, grad = space.assemble_coupling(nodal)
+    unit_div, unit_grad = space.assemble_coupling(1.5)
+
+    def div_local(c):
+        return lambda e, g: np.tile(c[e] * vol / (d + 1) * g.reshape(1, -1), (d + 1, 1))
+
+    def grad_local(c):
+        return lambda e, g: np.tile(c[e] * vol / (d + 1) * g.T, (d + 1, 1))
+
+    def stiff(e, g, C):
+        B = naive_strain(g)
+        return vol * B.T @ C @ B
+
+    const = np.full(n_elem, 1.5)
+    return [
+        ("mass scalar", space.assemble_mass(1.5),
+         dense_assembly(grid, 1, 1, lambda e, g: 1.5 * base)),
+        ("mass nodal", space.assemble_mass(nodal),
+         dense_assembly(grid, 1, 1, lambda e, g: ce[e] * base)),
+        ("diffusion nodal", space.assemble_diffusion(nodal),
+         dense_assembly(grid, 1, 1, lambda e, g: vol * ce[e] * g @ g.T)),
+        ("diffusion per-element scalar",
+         space.assemble_diffusion(per_elem[:, None, None] * np.eye(d)),
+         dense_assembly(grid, 1, 1, lambda e, g: vol * per_elem[e] * g @ g.T)),
+        ("diffusion per-element tensor", space.assemble_diffusion(k_e),
+         dense_assembly(grid, 1, 1, lambda e, g: vol * g @ k_e[e] @ g.T)),
+        ("elasticity per-element scalar",
+         space.assemble_elasticity(per_elem[:, None, None] * C1),
+         dense_assembly(grid, d, d, lambda e, g: per_elem[e] * stiff(e, g, C1))),
+        ("elasticity per-element tensor", space.assemble_elasticity(C_e),
+         dense_assembly(grid, d, d, lambda e, g: stiff(e, g, C_e[e]))),
+        ("elasticity unit C x nodal", space.assemble_elasticity(C1, nodal),
+         dense_assembly(grid, d, d, lambda e, g: ce[e] * stiff(e, g, C1))),
+        ("elasticity unit C x scalar", space.assemble_elasticity(C1, 1.5),
+         dense_assembly(grid, d, d, lambda e, g: 1.5 * stiff(e, g, C1))),
+        ("div nodal", div, dense_assembly(grid, 1, d, div_local(ce))),
+        ("grad nodal", grad, dense_assembly(grid, d, 1, grad_local(ce))),
+        ("div scalar", unit_div, dense_assembly(grid, 1, d, div_local(const))),
+        ("grad scalar", unit_grad, dense_assembly(grid, d, 1, grad_local(const))),
+    ]
+
+
+# a block size of 5 splits every class into several scatter blocks
+@pytest.mark.parametrize("block", [fem._BLOCK, 5])
+@pytest.mark.parametrize("cells", [(4, 3), (2, 3, 2)])
+def test_assembly_matches_dense_element_loop(cells, block, monkeypatch):
+    monkeypatch.setattr(fem, "_BLOCK", block)
+    for name, A, (dense, touched) in assembly_cases(StructuredGrid(cells)):
+        assert isinstance(A, sparse.csr_matrix), name
+        assert A.has_canonical_format, name
+        pattern = np.zeros(A.shape, dtype=bool)
+        pattern[A.tocoo().coords] = True
+        assert np.array_equal(pattern, touched), name
+        err = np.abs(A.toarray() - dense).max()
+        assert err <= 1e-13 * np.abs(dense).max(), name
+
+
+def test_assembly_builds_the_pattern_once_per_grid(monkeypatch):
+    prop = StructuredGrid.__dict__["node_pattern"]
+    builds = []
+
+    @functools.wraps(prop.func)
+    def counted(grid):
+        builds.append(grid)
+        return counted.__wrapped__(grid)
+
+    monkeypatch.setattr(prop, "func", counted)
+    grid = StructuredGrid((5, 4))
+    C = isotropic_stiffness(1.0, 0.3, 2)
+    first = P1Space(grid).assemble_elasticity(C, 2.0)
+    space = P1Space(grid)
+    second = space.assemble_elasticity(C, 2.0)
+    space.assemble_mass(1.0)
+    space.assemble_diffusion(1.0)
+    space.assemble_coupling(1.0)
+    assert builds == [grid]
+    assert (first != second).nnz == 0
+    P1Space(StructuredGrid((5, 4))).assemble_mass(1.0)
+    assert len(builds) == 2
+
+
+def test_assembly_memory_stays_bounded():
+    # the first assembly on a fresh 128^2 grid, pattern build included, must
+    # peak below three times the matrix it returns
+    grid = StructuredGrid((128, 128))
+    young = np.random.default_rng(61).uniform(5.0, 15.0, grid.n_nodes)
+    C = isotropic_stiffness(1.0, 0.3, 2)
+    tracemalloc.start()
+    try:
+        A = P1Space(grid).assemble_elasticity(C, young)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
 @pytest.mark.parametrize("cells", [(4, 4), (2, 3, 2)])

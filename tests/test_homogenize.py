@@ -264,7 +264,8 @@ def reference_elasticity(space, young_e, eta):
     full assembly and row/column elimination."""
     grid = space.grid
     d = grid.dimension
-    A = space.assemble_elasticity(isotropic_stiffness(young_e, eta, d))
+    C_e = young_e[:, None, None] * isotropic_stiffness(1.0, eta, d)
+    A = space.assemble_elasticity(C_e)
     bnodes = grid.all_boundary_nodes()
     vdofs = (bnodes[:, None] * d + np.arange(d)).reshape(-1)
     pairs = strain_component_pairs(d)
@@ -362,7 +363,7 @@ def test_band_layout(cells):
     # number the slots of the pattern 1, 2, ...; the band must hold the
     # slot of every lower entry of A_II at its banded position
     n, n_i = op.pattern[1].size - 1, op.interior.size
-    slots = sparse.csc_matrix(
+    slots = sparse.csr_matrix(
         (np.arange(1.0, op.pattern[0].size + 1), *op.pattern), shape=(n, n)
     )
     A_ii = slots[op.interior][:, op.interior].toarray()
@@ -392,7 +393,9 @@ def test_solve_returns_matrix_times_solution(cells):
         ),
         (
             engine.elasticity(eta),
-            engine.assemble_elasticity(isotropic_stiffness(coeff, eta, grid.dimension)),
+            engine.assemble_elasticity(
+                coeff[:, None, None] * isotropic_stiffness(1.0, eta, grid.dimension)
+            ),
         ),
     ]
     for op, A in cases:
