@@ -275,6 +275,9 @@ def build_dataset_stage(config, layout):
             ds = build_dataset(grid, config.coarse_cells, realizations, tensors, target)
             save_dataset(ds, layout.dataset_path(target))
             record.put("sizes", target, len(ds))
+            # the input range and each output component that scale to 0
+            degenerate = [ds.scaler.input_degenerate, *ds.scaler.output_degenerate]
+            record.put("degenerate_components", target, int(np.sum(degenerate)))
     return record
 
 
@@ -360,18 +363,19 @@ def predict_tensors(networks, scalers, grid, coarse_cells, fields):
 
     ``networks`` and ``scalers`` map each target to its trained network and
     the scaler of its training data. Returns target -> (n_cells, m, m)
-    SPD tensors, cells in row-major order.
+    SPD tensors, cells in row-major order, and target -> the number of
+    them clamped to the SPD cone.
     """
-    outputs = {}
+    outputs, clamped = {}, {}
     for target, network in networks.items():
         values = fields.perm if target == TARGET_PERMEABILITY else fields.young
         scaled = scalers[target].scale_input(
             patch_input_array(grid, coarse_cells, values)
         )
-        outputs[target] = predict_effective(
+        outputs[target], clamped[target] = predict_effective(
             network, scaled, scalers[target], target, grid.dimension
         )
-    return outputs
+    return outputs, clamped
 
 
 def predict_stage(config, layout):
@@ -386,12 +390,15 @@ def predict_stage(config, layout):
                 _require(layout.dataset_path(target), "build-dataset")
                 networks[target] = load_network(layout.model_path(target))
                 scalers[target] = load_scaler(layout.dataset_path(target))
+        record["spd_clamped"] = dict.fromkeys(TARGETS, 0)
         for index in held_out_indices(config):
             fields = load_fields(layout, config, index)
             with record.span("per_realization", index):
-                outputs = predict_tensors(
+                outputs, clamped = predict_tensors(
                     networks, scalers, grid, config.coarse_cells, fields
                 )
+            for target, count in clamped.items():
+                record["spd_clamped"][target] += count
             write_array(
                 layout.tensor_path(index, "perm", PREDICTED),
                 outputs[TARGET_PERMEABILITY],
@@ -552,6 +559,14 @@ def report_stage(config, layout):
                 f"{source + ' mean':<22}   {mean[0]:>7.3f} {mean[1]:>8.3f} "
                 f"{mean[2]:>8.3f} {mean[3]:>8.3f}"
             )
+        lines.append("")
+        lines.append("events, per target:")
+        for stage, key in (
+            ("build-dataset", "degenerate_components"),
+            ("predict", "spd_clamped"),
+        ):
+            counts = sorted((_read_timing(layout, stage) or {}).get(key, {}).items())
+            lines.append(f"  {key}: " + ", ".join(f"{t} {n}" for t, n in counts))
         lines.append("")
         lines.append("timing:")
         timing_lines, speedups = _speedup_block(layout)

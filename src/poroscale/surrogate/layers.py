@@ -2,12 +2,12 @@
 
 Every layer exposes ``forward(x, train=False, rng=None)`` and
 ``backward(grad_out) -> grad_in``; trainable layers also carry ``params``
-and ``grads`` lists (same order, same shapes). Arrays are float64
-throughout, activations are ``(batch, channels, *spatial)``. ``Conv``
-writes its output channels-last and returns that shape as a view, which
-the layers after it read by shape alone. Gradients flow back in that
-memory order too: ``MaxPool.backward`` and the col2im of ``Conv.backward``
-run channels-last.
+and ``grads`` lists (same order, same shapes), which a ``Network`` replaces
+by views of its flat vectors. Arrays are float64 throughout, activations
+are ``(batch, channels, *spatial)``. ``Conv`` writes its output
+channels-last and returns that shape as a view, which the layers after it
+read by shape alone. Gradients flow back in that memory order too:
+``MaxPool.backward`` and the col2im of ``Conv.backward`` run channels-last.
 
 Backward calls consume the cache left by the most recent forward call.
 Trainable layers take ``backward(grad_out, input_grad=True)``: with
@@ -17,24 +17,41 @@ when its input is data.
 
 ``Conv`` keeps the column matrix of its forward pass, ``(batch * spatial,
 in_ch * k^d)`` float64 values, until the next forward call, because the
-weight gradient reuses it. On 12^3 patches the two Conv layers of the 3D
-network hold 27 * 12^3 * 8 B = 0.37 MB and 432 * 6^3 * 8 B = 0.75 MB per
-sample, and each ``MaxPool`` keeps its input, the Conv output before it
-(16 * 12^3 * 8 B = 0.22 MB per sample for the first), for its backward.
-So every forward pass, inference included, runs on a bounded batch
-(``Network.predict``).
+weight gradient reuses it; a call on the same input shape refills it.
+On 12^3 patches the two Conv layers of the 3D network hold 27 * 12^3 * 8 B
+= 0.37 MB and 432 * 6^3 * 8 B = 0.75 MB per sample, and each ``MaxPool``
+keeps its input, the Conv output before it (16 * 12^3 * 8 B = 0.22 MB per
+sample for the first), for its backward. So every forward pass, inference
+included, runs on a bounded batch (``Network.predict``).
+
+``Conv`` also keeps a plan of its latest input shape: the shapes, strides
+and index tuples a pass would otherwise rebuild, and no array (0 B). The
+zero-bordered input it describes, 14^3 * 8 B = 22 kB and 16 * 8^3 * 8 B =
+66 kB per sample for the two 3D layers, lives only during a forward pass,
+since a kept one would add to the high-water mark of every later stage.
 """
 
 from functools import reduce
 from math import prod
+from types import SimpleNamespace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ParameterError
 
 # kernel extent of every Conv axis
 KERNEL = 3
+# per spatial rank d: the axis orders that move the channel axis last and
+# back, and that move it last in Conv's (in_ch, k^d, batch, *spatial) column
+# gradient
+CHANNELS_LAST = {d: (0, *range(2, 2 + d), 1) for d in (2, 3)}
+CHANNELS_FIRST = {d: (0, 1 + d, *range(1, 1 + d)) for d in (2, 3)}
+COLUMNS_LAST = {d: (*range(1, 3 + d), 0) for d in (2, 3)}
+# and the 2^d strided slots [:, i0::2, i1::2(, i2::2)] of a pool, C order
+POOL_SLOTS = {
+    d: [(slice(None), *(slice(i, None, 2) for i in o)) for o in np.ndindex(*(2,) * d)]
+    for d in (2, 3)
+}
 
 
 def he_uniform(rng, shape, fan_in):
@@ -57,40 +74,74 @@ class Conv:
             rng = np.random.default_rng()
         self.dim = dim
         fan_in = in_channels * KERNEL**dim
-        self.weight = he_uniform(
-            rng, (out_channels, in_channels) + (KERNEL,) * dim, fan_in
-        )
-        self.bias = np.zeros(out_channels)
-        self.params = [self.weight, self.bias]
-        self.grads = [np.zeros_like(self.weight), np.zeros_like(self.bias)]
+        shape = (out_channels, in_channels) + (KERNEL,) * dim
+        self.params = [he_uniform(rng, shape, fan_in), np.zeros(out_channels)]
+        self.grads = [np.zeros_like(p) for p in self.params]
         self._cols = None
+        self._plan = None
 
-    def _columns(self, x):
-        """(batch * spatial, in_ch * k^d) windows of the zero-padded input.
+    weight = property(lambda self: self.params[0])
+    bias = property(lambda self: self.params[1])
 
-        The input is padded channels-last, so its window view already runs
+    def _plan_for(self, shape):
+        """The plan of input shape ``shape``, rebuilt when the shape changes.
+
+        ``padded`` is the zero-bordered channels-last input's shape, and
+        ``col2im`` pairs each window offset u with the input positions its
+        columns reach, s + u - 1 clipped to the input.
+        """
+        if self._plan is not None and self._plan.shape == shape:
+            return self._plan
+        d, p, spatial = self.dim, KERNEL // 2, shape[2:]
+        padded = shape[:1] + tuple(n + 2 * p for n in spatial) + shape[1:2]
+        strides = tuple(8 * prod(padded[i + 1 :]) for i in range(len(padded)))
+        col2im = []
+        for u, offset in enumerate(np.ndindex(*(KERNEL,) * d)):
+            shifts = [o - p for o in offset]
+            if all(abs(t) < n for t, n in zip(shifts, spatial)):
+                to = [slice(max(t, 0), n + min(t, 0)) for t, n in zip(shifts, spatial)]
+                at = [slice(max(-t, 0), n - max(t, 0)) for t, n in zip(shifts, spatial)]
+                col2im.append(((slice(None), *to), (u, slice(None), *at)))
+        self._plan = SimpleNamespace(
+            shape=shape,
+            padded=padded,
+            inner=(slice(None),) + tuple(slice(p, p + n) for n in spatial),
+            windows=shape[:1] + spatial + shape[1:2] + (KERNEL,) * d,
+            strides=strides + strides[1 : 1 + d],  # a window steps like space
+            col2im=col2im,
+        )
+        return self._plan
+
+    def _columns(self, x, plan):
+        """(batch * spatial, in_ch * k^d) windows of the zero-bordered input.
+
+        The input is bordered channels-last, so its window view already runs
         (batch, *spatial, ch, *kernel) and one reshape copies it.
         """
-        d, p = self.dim, KERNEL // 2
-        padded = np.pad(np.moveaxis(x, 1, -1), [(0, 0)] + [(p, p)] * d + [(0, 0)])
-        win = sliding_window_view(padded, (KERNEL,) * d, tuple(range(1, 1 + d)))
-        return win.reshape(x.shape[0] * prod(x.shape[2:]), -1)
+        padded = np.zeros(plan.padded)
+        padded[plan.inner] = x.transpose(CHANNELS_LAST[self.dim])
+        windows = np.ndarray(plan.windows, buffer=padded, strides=plan.strides)
+        cols = self._cols
+        if cols is None or cols.size != prod(plan.windows):
+            return windows.reshape(x.shape[0] * prod(x.shape[2:]), -1)
+        # the previous pass's matrix is dead: refill it in place
+        np.copyto(cols.reshape(plan.windows), windows)
+        return cols
 
     def forward(self, x, train=False, rng=None):
-        self._cols = self._columns(x)
-        kernels = self.weight.reshape(self.weight.shape[0], -1)
-        out = self._cols @ kernels.T
+        self._cols = self._columns(x, self._plan_for(x.shape))
+        out = self._cols @ self.weight.reshape(self.bias.size, -1).T
         out += self.bias
         # (batch, *spatial, out_ch) in memory, seen as (batch, out_ch, *spatial)
-        return np.moveaxis(out.reshape(x.shape[:1] + x.shape[2:] + (-1,)), -1, 1)
+        out = out.reshape(x.shape[:1] + x.shape[2:] + (-1,))
+        return out.transpose(CHANNELS_FIRST[self.dim])
 
     def backward(self, grad_out, input_grad=True):
-        d, k = self.dim, KERNEL
         out_ch, in_ch = self.weight.shape[:2]
         batch, spatial = grad_out.shape[0], grad_out.shape[2:]
         # (out_ch, batch * spatial) in the column matrix's row order, copied C
         # order so the round-off does not depend on grad_out's memory order
-        g = np.ascontiguousarray(np.moveaxis(grad_out, 1, 0)).reshape(out_ch, -1)
+        g = np.ascontiguousarray(grad_out.swapaxes(0, 1)).reshape(out_ch, -1)
         # bias: sums over space per sample, then a running sum over the batch
         per_sample = np.add.reduce(g.reshape(out_ch, batch, -1), axis=2).T.copy()
         np.add.reduce(per_sample, axis=0, out=self.grads[1])
@@ -98,18 +149,15 @@ class Conv:
         np.matmul(g, self._cols, out=self.grads[0].reshape(out_ch, -1))
         if not input_grad:
             return None
-        # column gradient (in_ch, k^d, batch, *spatial): offset u's columns add
-        # back, channels-last, onto the padded input at s + u (col2im)
+        # column gradient (k^d, batch, *spatial, in_ch): offset u's columns add
+        # back, channels-last, onto the input at s + u - 1 (col2im)
         col_grad = (self.weight.reshape(out_ch, -1).T @ g).reshape(
             (in_ch, -1, batch) + spatial
-        )
-        padded = np.zeros((batch,) + tuple(n + k - 1 for n in spatial) + (in_ch,))
-        for u, cols in zip(np.ndindex(*(k,) * d), np.moveaxis(col_grad, 0, -1)):
-            window = tuple(slice(o, o + n) for o, n in zip(u, spatial))
-            padded[(slice(None),) + window] += cols
-        p = k // 2
-        inner = tuple(slice(p, p + n) for n in spatial)
-        return np.moveaxis(padded[(slice(None),) + inner], -1, 1)
+        ).transpose(COLUMNS_LAST[self.dim])
+        grad = np.zeros((batch,) + spatial + (in_ch,))
+        for to, at in self._plan.col2im:
+            grad[to] += col_grad[at]
+        return grad.transpose(CHANNELS_FIRST[self.dim])
 
     def __repr__(self):
         out_ch, in_ch = self.weight.shape[:2]
@@ -151,35 +199,31 @@ class MaxPool:
         self.dim = dim
         self._cache = None
 
-    def _slots(self, x):
-        """The 2^d strided views ``x[:, i0::2, i1::2(, i2::2)]``, C order."""
-        return [
-            x[(slice(None),) + tuple(slice(i, None, 2) for i in offset)]
-            for offset in np.ndindex(*(2,) * self.dim)
-        ]
-
     def forward(self, x, train=False, rng=None):
         spatial = x.shape[2:]
-        x = np.moveaxis(x, 1, -1)  # channels-last, as a Conv output is in memory
+        x = x.transpose(CHANNELS_LAST[self.dim])  # as a Conv output is in memory
         if any(n % 2 for n in spatial):
-            pad = [(0, 0)] + [(0, n % 2) for n in spatial] + [(0, 0)]
-            x = np.pad(x, pad, constant_values=-np.inf)
-        out = reduce(np.maximum, self._slots(x))
+            even = x.shape[:1] + tuple(n + n % 2 for n in spatial) + x.shape[-1:]
+            padded = np.full(even, -np.inf)
+            padded[tuple(map(slice, x.shape))] = x
+            x = padded
+        out = reduce(np.maximum, [x[slot] for slot in POOL_SLOTS[self.dim]])
         self._cache = (x, out, spatial)
-        return np.moveaxis(out, -1, 1)
+        return out.transpose(CHANNELS_FIRST[self.dim])
 
     def backward(self, grad_out):
         x, out, spatial = self._cache
-        grad_out = np.moveaxis(grad_out, 1, -1)
+        grad_out = grad_out.transpose(CHANNELS_LAST[self.dim])
         grad = np.empty(x.shape)
         # the first maximal slot in C order takes the gradient; `free` marks
         # the outputs that no earlier slot took
         free = np.ones(out.shape, dtype=bool)
-        for slot, view in zip(self._slots(x), self._slots(grad)):
-            hit = (slot == out) & free
+        for slot in POOL_SLOTS[self.dim]:
+            hit = (x[slot] == out) & free
             free ^= hit
-            np.multiply(grad_out, hit, out=view)
-        return np.moveaxis(grad[tuple(map(slice, grad.shape[:1] + spatial))], -1, 1)
+            np.multiply(grad_out, hit, out=grad[slot])
+        inner = tuple(map(slice, grad.shape[:1] + spatial))
+        return grad[inner].transpose(CHANNELS_FIRST[self.dim])
 
     def __repr__(self):
         return f"MaxPool({self.dim}d)"
@@ -209,11 +253,12 @@ class Dense:
     def __init__(self, n_in, n_out, rng=None):
         if rng is None:
             rng = np.random.default_rng()
-        self.weight = he_uniform(rng, (n_in, n_out), n_in)
-        self.bias = np.zeros(n_out)
-        self.params = [self.weight, self.bias]
-        self.grads = [np.zeros_like(self.weight), np.zeros_like(self.bias)]
+        self.params = [he_uniform(rng, (n_in, n_out), n_in), np.zeros(n_out)]
+        self.grads = [np.zeros_like(p) for p in self.params]
         self._x = None
+
+    weight = property(lambda self: self.params[0])
+    bias = property(lambda self: self.params[1])
 
     def forward(self, x, train=False, rng=None):
         self._x = x

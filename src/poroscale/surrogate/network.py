@@ -11,17 +11,25 @@ Flatten -> Dense(512) -> Dropout -> Dense(n_out). ReLU after the pool
 gives the values and gradients of ReLU before it, since max commutes
 with a monotone map, and touches 2^-d of the entries.
 
+A ``Network`` holds every parameter in one flat float64 vector,
+``flat_params``, and every gradient in another, ``flat_grads``, both in
+layer order; each layer's ``params`` and ``grads`` are views of them. Adam
+keeps its two moments as flat vectors of the same length and updates all
+four in ``ADAM_BLOCK`` slices.
+
 A saved model is a directory of NHAR array files
 (:mod:`poroscale.arrayio`): the arguments of :func:`build_network` and
 the weights it holds.
 
     architecture.nhar  (4,)  dim, patch, n_out, dropout
-    weights.nhar       (P,)  every parameter, flattened in layer order
+    weights.nhar       (P,)  ``flat_params``
 
 Loading rebuilds the network from ``architecture.nhar`` and overwrites
-its parameters, so only networks that ``build_network`` made can be
+its ``flat_params``, so only networks that ``build_network`` made can be
 saved. Optimizer state and the initialization seed are not stored.
 """
+
+from math import prod
 
 import numpy as np
 
@@ -52,6 +60,18 @@ class Network:
     def __init__(self, layers, architecture=None):
         self.layers = list(layers)
         self.architecture = architecture
+        trainable = [layer for layer in self.layers if layer.params]
+        shapes = [[p.shape for p in layer.params] for layer in trainable]
+        # zeros made first take fresh pages, which stay out of the resident
+        # set until a backward pass writes them; made after the copy, they
+        # would reuse memory it freed
+        self.flat_grads = np.zeros(sum(p.size for p in self.params))
+        self.flat_params = np.concatenate(
+            [np.empty(0)] + [p.ravel() for p in self.params]
+        )
+        views = zip(_split(self.flat_params, shapes), _split(self.flat_grads, shapes))
+        for layer, (params, grads) in zip(trainable, views):
+            layer.params, layer.grads = params, grads
 
     @property
     def params(self):
@@ -103,6 +123,13 @@ class Network:
         return f"Network([{inner}])"
 
 
+def _split(flat, shapes):
+    """Per layer, the consecutive views of ``flat`` with that layer's shapes."""
+    sizes = [prod(shape) for layer in shapes for shape in layer]
+    views = iter(np.split(flat, np.cumsum(sizes)[:-1]))
+    return [[next(views).reshape(shape) for shape in layer] for layer in shapes]
+
+
 def pooled_extent(extent, n_blocks):
     """Spatial extent after n ceil-mode stride-2 pools."""
     for _ in range(n_blocks):
@@ -141,8 +168,10 @@ def build_network(dim, patch, n_out, dropout=DEFAULT_DROPOUT, seed=0):
 class Adam:
     """Bias-corrected first/second-moment updates applied in place.
 
-    A step runs block by block through two scratch blocks, in the unblocked
-    update's order of operations, with no full-size temporaries.
+    The moments are flat vectors beside the network's ``flat_params`` and
+    ``flat_grads``. A step runs over ``ADAM_BLOCK`` slices of all four
+    through two scratch blocks, in the unblocked update's order of
+    operations, with no full-size temporaries.
     """
 
     def __init__(self, network, learning_rate):
@@ -150,16 +179,15 @@ class Adam:
             raise ParameterError("learning rate must be positive")
         self.network = network
         self.learning_rate = learning_rate
-        self.first = [np.zeros_like(p) for p in network.params]
-        self.second = [np.zeros_like(p) for p in network.params]
+        self.first = np.zeros_like(network.flat_params)
+        self.second = np.zeros_like(network.flat_params)
         self.step_count = 0
+        flat = (network.flat_params, network.flat_grads, self.first, self.second)
         scratch = np.empty((2, ADAM_BLOCK))
         self._blocks = []  # views (param, grad, m, v, scratch, scratch)
-        for arrays in zip(network.params, network.grads, self.first, self.second):
-            flat = [a.reshape(-1) for a in arrays]
-            for s in range(0, flat[0].size, ADAM_BLOCK):
-                block = [a[s : s + ADAM_BLOCK] for a in flat]
-                self._blocks.append(block + list(scratch[:, : block[0].size]))
+        for s in range(0, self.first.size, ADAM_BLOCK):
+            block = [a[s : s + ADAM_BLOCK] for a in flat]
+            self._blocks.append(block + list(scratch[:, : block[0].size]))
 
     def step(self):
         self.step_count += 1
@@ -190,7 +218,7 @@ def save_network(network, path):
         )
     members = {
         "architecture": network.architecture,
-        "weights": np.concatenate([p.ravel() for p in network.params]),
+        "weights": network.flat_params,
     }
     write_members(path, members)
 
@@ -210,12 +238,10 @@ def load_network(path):
         network = build_network(dim, patch, n_out, dropout=float(arch[3]))
     except ParameterError as exc:
         raise FormatError(f"{path}: model member architecture.nhar: {exc}") from None
-    sizes = [p.size for p in network.params]
-    if weights.shape != (sum(sizes),):
+    if weights.shape != network.flat_params.shape:
         raise FormatError(
             f"{path}: model member weights.nhar has shape {weights.shape}, "
-            f"expected ({sum(sizes)},) for the architecture {arch.tolist()}"
+            f"expected {network.flat_params.shape} for the architecture {arch.tolist()}"
         )
-    for param, flat in zip(network.params, np.split(weights, np.cumsum(sizes)[:-1])):
-        param[...] = flat.reshape(param.shape)
+    network.flat_params[...] = weights
     return network

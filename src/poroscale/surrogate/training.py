@@ -159,9 +159,10 @@ def clamp_spd(matrices):
 def predict_effective(network, x_scaled, scaler, target, dim):
     """Decode network outputs into symmetric positive definite tensors.
 
-    ``x_scaled`` is (n, N_l, ...) in scaled units. Output is (n, d, d)
-    for the permeability target, (n, m, m) for the elasticity target,
-    eigenvalue-clamped when a prediction drifts out of the SPD cone.
+    ``x_scaled`` is (n, N_l, ...) in scaled units. Returns the tensors,
+    (n, d, d) for the permeability target and (n, m, m) for the elasticity
+    target, eigenvalue-clamped when a prediction drifts out of the SPD
+    cone, and the number of them that were clamped.
     """
     x_scaled = np.asarray(x_scaled, dtype=float)
     rows = scaler.unscale_output(network.predict(x_scaled[:, None, ...]))
@@ -175,4 +176,4 @@ def predict_effective(network, x_scaled, scaler, target, dim):
             mats.shape[0],
             target,
         )
-    return fixed
+    return fixed, n_clamped

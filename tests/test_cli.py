@@ -18,12 +18,12 @@ from poroscale.config import (
     load_config,
     load_preset,
 )
-from poroscale.dataset import SplitSpec
+from poroscale.dataset import SplitSpec, load_scaler
 from poroscale.errors import ParameterError
 from poroscale.pipeline import RunLayout, _speedup_block
 from poroscale.poro import PoroConstants, TimeSteppingConfig
 from poroscale.random_field import CovarianceSpec, PropertyParams
-from poroscale.surrogate import TrainConfig
+from poroscale.surrogate import TrainConfig, load_network, save_network
 
 
 def save_config(config, path):
@@ -365,6 +365,44 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
     assert evaluate["total_s"] >= sum(evaluate["per_target_s"].values()) > 0.0
     report = json.loads(layout.timing_path("report").read_text("utf-8"))
     assert report["stage"] == "report" and report["total_s"] > 0.0
+
+
+def test_clamps_and_degenerate_ranges_reach_the_summary(capsys, tmp_path):
+    argv = ["--preset", "desk-mini", "--workdir", str(tmp_path)]
+    for stage in (["generate-fields"], ["homogenize"], ["build-dataset"], ["train"]):
+        assert main(stage + argv) == 0, stage
+    layout = RunLayout(tmp_path)
+    # a permeability head far below its scaled range decodes every cell
+    # into a negative definite tensor
+    model = layout.model_path("permeability")
+    network = load_network(model)
+    network.layers[-1].weight[...] = 0.0
+    network.layers[-1].bias[...] = -1e3
+    save_network(network, model)
+    for stage in (
+        ["predict"],
+        ["solve-fine"],
+        ["solve-coarse", "--tensors", "direct"],
+        ["report"],
+    ):
+        assert main(stage + argv) == 0, stage
+    capsys.readouterr()
+
+    predict = json.loads(layout.timing_path("predict").read_text("utf-8"))
+    clamped = predict["spd_clamped"]
+    assert clamped["permeability"] == 16  # every cell of the held-out domain
+    assert set(clamped) == {"permeability", "elasticity"}
+    built = json.loads(layout.timing_path("build-dataset").read_text("utf-8"))
+    degenerate = built["degenerate_components"]
+    for target in ("permeability", "elasticity"):
+        scaler = load_scaler(layout.dataset_path(target))
+        ranges = [scaler.input_degenerate, *scaler.output_degenerate]
+        assert degenerate[target] == sum(ranges)
+    summary = layout.summary_txt.read_text(encoding="utf-8").splitlines()
+    events = (("spd_clamped", clamped), ("degenerate_components", degenerate))
+    for key, counts in events:
+        line = f"  {key}: elasticity {counts['elasticity']}, permeability "
+        assert line + str(counts["permeability"]) in summary
 
 
 def test_incomplete_predicted_states_are_an_error(capsys, tmp_path):

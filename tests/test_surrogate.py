@@ -30,9 +30,10 @@ from poroscale.surrogate import (
     save_network,
     train,
 )
-from poroscale.surrogate.layers import he_uniform
+from poroscale.surrogate.layers import KERNEL, he_uniform
 from poroscale.surrogate.network import (
     ADAM_BETA1,
+    ADAM_BLOCK,
     ADAM_BETA2,
     ADAM_EPSILON,
     FILTERS_2D,
@@ -335,6 +336,103 @@ def test_predict_chunks_match_one_pass():
     assert np.abs(chunked - one_pass).max() <= 1e-12 * np.abs(one_pass).max()
 
 
+def test_plans_follow_batch_shape_changes():
+    # one network through batch 16, a tail batch of 7, batch 16 and a
+    # predict chunk; each call must equal a fresh network's first call
+    def fresh():
+        return build_network(2, 8, 3, dropout=0.0, seed=42)
+
+    net = fresh()
+    rng = np.random.default_rng(43)
+    for batch in (16, 7, 16):
+        x = rng.normal(size=(batch, 1, 8, 8))
+        g = rng.normal(size=(batch, 3))
+        want = fresh()
+        want_out = want.forward(x)
+        want_in = want.backward(g)
+        assert net.forward(x).tobytes() == want_out.tobytes()
+        assert net.backward(g).tobytes() == want_in.tobytes()
+        assert net.flat_grads.tobytes() == want.flat_grads.tobytes()
+    x = rng.normal(size=(INFERENCE_CHUNK, 1, 8, 8))
+    assert net.predict(x).tobytes() == fresh().predict(x).tobytes()
+
+
+@pytest.mark.parametrize("dim,patch", [(2, 7), (3, 5)])
+def test_input_gradients_do_not_share_buffers(dim, patch):
+    net = build_network(dim, patch, 3, dropout=0.0, seed=44)
+    rng = np.random.default_rng(45)
+    x = rng.normal(size=(4, 1) + (patch,) * dim)
+    net.forward(x)
+    first = net.backward(rng.normal(size=(4, 3)))
+    kept = first.copy()
+    second = net.backward(rng.normal(size=(4, 3)))
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+    # and layer by layer, through odd extents that pad the pools
+    shapes = []
+    out = x
+    for layer in net.layers:
+        out = layer.forward(out)
+        shapes.append(out.shape)
+    for layer, shape in zip(net.layers, shapes):
+        g = rng.normal(size=shape)
+        a = layer.backward(g)
+        a_kept = a.copy()
+        b = layer.backward(g + 1.0)
+        assert not np.shares_memory(a, b), layer
+        assert a.tobytes() == a_kept.tobytes(), layer
+
+
+def test_layers_hold_views_of_the_flat_vectors():
+    net = build_network(3, 4, 6, seed=46)
+    assert net.flat_params.dtype == net.flat_grads.dtype == np.float64
+    assert net.flat_params.size == sum(p.size for p in net.params)
+    for layer in net.layers:
+        for p, g in zip(layer.params, layer.grads, strict=True):
+            assert np.shares_memory(p, net.flat_params)
+            assert np.shares_memory(g, net.flat_grads)
+    conv = net.layers[0]
+    assert conv.weight is conv.params[0] and conv.bias is conv.params[1]
+    # the flat vector is the parameters in layer order
+    joined = np.concatenate([p.ravel() for p in net.params])
+    assert joined.tobytes() == net.flat_params.tobytes()
+    for i in (0, 3, len(net.params) - 1):
+        net.params[i].reshape(-1)[-1] = 123.5
+        start = sum(p.size for p in net.params[: i + 1]) - 1
+        assert net.flat_params[start] == 123.5
+
+
+def plan_arrays(plan):
+    """The arrays a layer plan references, nested tuples and lists included."""
+    found = []
+    stack = list(vars(plan).values())
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+    return found
+
+
+def test_conv_plans_keep_at_most_the_bordered_input():
+    net = build_network(3, 12, 6, seed=47)
+    rng = np.random.default_rng(48)
+    net.predict(rng.random(size=(64, 1, 12, 12, 12)))
+    out = net.forward(rng.random(size=(8, 1, 12, 12, 12)), train=True, rng=rng)
+    net.backward(np.ones_like(out), input_grad=False)
+    convs = [layer for layer in net.layers if isinstance(layer, Conv)]
+    for layer in convs:
+        batch, ch, *spatial = layer._plan.shape
+        assert batch == 8  # rebuilt for the training batch
+        bound = 8 * batch * ch * prod(n + 2 * (KERNEL // 2) for n in spatial)
+        arrays = plan_arrays(layer._plan)
+        owners = [a for a in arrays if a.flags.owndata]
+        # every other array is a view of an owned buffer
+        assert all(any(np.shares_memory(a, o) for o in owners) for a in arrays)
+        assert sum(a.nbytes for a in owners) <= bound, layer
+
+
 def test_conv_identity_kernel():
     layer = Conv(2, 1, 1, rng=np.random.default_rng(0))
     layer.weight[...] = 0.0
@@ -561,9 +659,20 @@ def test_adam_first_step_is_normalized_gradient():
         np.testing.assert_allclose(p0 - p1, want, atol=1e-15)
 
 
-@pytest.mark.parametrize("dim,patch", [(2, 16), (3, 12)])
-def test_blocked_adam_matches_unblocked_update(dim, patch):
-    net = build_network(dim, patch, 6, seed=40)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_network(2, 16, 6, seed=40),
+        lambda: build_network(3, 12, 6, seed=40),
+        # fewer parameters than one block
+        lambda: Network([Dense(7, 3), ReLU(), Dense(3, 2)]),
+    ],
+    ids=["2-16", "3-12", "dense-32"],
+)
+def test_blocked_adam_matches_unblocked_update(make):
+    net = make()
+    # the last block is a partial one
+    assert net.flat_params.size % ADAM_BLOCK
     params = [p.copy() for p in net.params]
     first = [np.zeros_like(p) for p in params]
     second = [np.zeros_like(p) for p in params]
@@ -785,8 +894,8 @@ def constant_output_network(rows):
 def test_predict_effective_decodes_symmetric_tensors():
     net, scaler = constant_output_network([2.0, 0.5, 3.0])
     x = np.random.default_rng(29).random(size=(5, 4, 4))
-    tensors = predict_effective(net, x, scaler, TARGET_PERMEABILITY, 2)
-    assert tensors.shape == (5, 2, 2)
+    tensors, clamped = predict_effective(net, x, scaler, TARGET_PERMEABILITY, 2)
+    assert tensors.shape == (5, 2, 2) and clamped == 0
     np.testing.assert_allclose(tensors, [[[2.0, 0.5], [0.5, 3.0]]] * 5, atol=1e-12)
 
 
@@ -794,8 +903,8 @@ def test_predict_effective_clamps_and_logs(caplog):
     net, scaler = constant_output_network([-1.0, 0.0, 0.5])
     x = np.random.default_rng(30).random(size=(3, 4, 4))
     with caplog.at_level("WARNING"):
-        tensors = predict_effective(net, x, scaler, TARGET_PERMEABILITY, 2)
-    assert "clamped" in caplog.text
+        tensors, clamped = predict_effective(net, x, scaler, TARGET_PERMEABILITY, 2)
+    assert "clamped" in caplog.text and clamped == 3
     vals = np.linalg.eigvalsh(tensors)
     assert vals.min() >= SPD_FLOOR * (1 - 1e-9)
     np.testing.assert_allclose(tensors, np.swapaxes(tensors, 1, 2), atol=1e-14)
@@ -811,6 +920,8 @@ def test_weights_round_trip(tmp_path):
         assert repr(clone) == repr(net)
         for p0, p1 in zip(net.params, clone.params, strict=True):
             assert p0.tobytes() == p1.tobytes()
+        assert clone.flat_params.tobytes() == net.flat_params.tobytes()
+        assert read_array(path / "weights.nhar").tobytes() == net.flat_params.tobytes()
         x = np.random.default_rng(32).normal(size=(2, 1) + (patch,) * dim)
         assert net.forward(x).tobytes() == clone.forward(x).tobytes()
 
