@@ -16,16 +16,16 @@ computing the input gradient, which a network's first layer never needs
 when its input is data.
 
 ``Conv`` keeps the column matrix of its forward pass, ``(batch * spatial,
-in_ch * k^d)`` float64 values, until the next forward call, because the
-weight gradient reuses it; a call on the same input shape refills it.
-On 12^3 patches the two Conv layers of the 3D network hold 27 * 12^3 * 8 B
-= 0.37 MB and 432 * 6^3 * 8 B = 0.75 MB per sample, and each ``MaxPool``
-keeps its input, the Conv output before it (16 * 12^3 * 8 B = 0.22 MB per
-sample for the first), for its backward. So every forward pass, inference
+in_ch * k^d)`` float64 values, because the weight gradient reuses it;
+the next forward call frees it before making its own. On 12^3 patches
+the two Conv layers of the 3D network hold 27 * 12^3 * 8 B = 0.37 MB and
+432 * 6^3 * 8 B = 0.75 MB per sample, and each ``MaxPool`` keeps its
+input, the Conv output before it (16 * 12^3 * 8 B = 0.22 MB per sample
+for the first), for its backward. So every forward pass, inference
 included, runs on a bounded batch (``Network.predict``).
 
-``Conv`` also keeps a plan of its latest input shape: the shapes, strides
-and index tuples a pass would otherwise rebuild, and no array (0 B). The
+``Conv`` also keeps a plan of its latest input shape: the shapes and
+index tuples a pass would otherwise rebuild, and no array (0 B). The
 zero-bordered input it describes, 14^3 * 8 B = 22 kB and 16 * 8^3 * 8 B =
 66 kB per sample for the two 3D layers, lives only during a forward pass,
 since a kept one would add to the high-water mark of every later stage.
@@ -94,20 +94,17 @@ class Conv:
             return self._plan
         d, p, spatial = self.dim, KERNEL // 2, shape[2:]
         padded = shape[:1] + tuple(n + 2 * p for n in spatial) + shape[1:2]
-        strides = tuple(8 * prod(padded[i + 1 :]) for i in range(len(padded)))
         col2im = []
         for u, offset in enumerate(np.ndindex(*(KERNEL,) * d)):
             shifts = [o - p for o in offset]
-            if all(abs(t) < n for t, n in zip(shifts, spatial)):
-                to = [slice(max(t, 0), n + min(t, 0)) for t, n in zip(shifts, spatial)]
-                at = [slice(max(-t, 0), n - max(t, 0)) for t, n in zip(shifts, spatial)]
-                col2im.append(((slice(None), *to), (u, slice(None), *at)))
+            to = [slice(max(t, 0), n + min(t, 0)) for t, n in zip(shifts, spatial)]
+            at = [slice(max(-t, 0), n - max(t, 0)) for t, n in zip(shifts, spatial)]
+            col2im.append(((slice(None), *to), (u, slice(None), *at)))
         self._plan = SimpleNamespace(
             shape=shape,
             padded=padded,
             inner=(slice(None),) + tuple(slice(p, p + n) for n in spatial),
             windows=shape[:1] + spatial + shape[1:2] + (KERNEL,) * d,
-            strides=strides + strides[1 : 1 + d],  # a window steps like space
             col2im=col2im,
         )
         return self._plan
@@ -120,15 +117,13 @@ class Conv:
         """
         padded = np.zeros(plan.padded)
         padded[plan.inner] = x.transpose(CHANNELS_LAST[self.dim])
-        windows = np.ndarray(plan.windows, buffer=padded, strides=plan.strides)
-        cols = self._cols
-        if cols is None or cols.size != prod(plan.windows):
-            return windows.reshape(x.shape[0] * prod(x.shape[2:]), -1)
-        # the previous pass's matrix is dead: refill it in place
-        np.copyto(cols.reshape(plan.windows), windows)
-        return cols
+        # a window offset steps like the spatial axis it runs along
+        strides = padded.strides + padded.strides[1 : 1 + self.dim]
+        windows = np.ndarray(plan.windows, buffer=padded, strides=strides)
+        return windows.reshape(x.shape[0] * prod(x.shape[2:]), -1)
 
     def forward(self, x, train=False, rng=None):
+        self._cols = None  # dead now: free it before the next one is made
         self._cols = self._columns(x, self._plan_for(x.shape))
         out = self._cols @ self.weight.reshape(self.bias.size, -1).T
         out += self.bias
@@ -203,10 +198,8 @@ class MaxPool:
         spatial = x.shape[2:]
         x = x.transpose(CHANNELS_LAST[self.dim])  # as a Conv output is in memory
         if any(n % 2 for n in spatial):
-            even = x.shape[:1] + tuple(n + n % 2 for n in spatial) + x.shape[-1:]
-            padded = np.full(even, -np.inf)
-            padded[tuple(map(slice, x.shape))] = x
-            x = padded
+            pad = [(0, 0)] + [(0, n % 2) for n in spatial] + [(0, 0)]
+            x = np.pad(x, pad, constant_values=-np.inf)
         out = reduce(np.maximum, [x[slot] for slot in POOL_SLOTS[self.dim]])
         self._cache = (x, out, spatial)
         return out.transpose(CHANNELS_FIRST[self.dim])

@@ -29,8 +29,6 @@ its ``flat_params``, so only networks that ``build_network`` made can be
 saved. Optimizer state and the initialization seed are not stored.
 """
 
-from math import prod
-
 import numpy as np
 
 from ..arrayio import read_member, write_members
@@ -60,18 +58,20 @@ class Network:
     def __init__(self, layers, architecture=None):
         self.layers = list(layers)
         self.architecture = architecture
-        trainable = [layer for layer in self.layers if layer.params]
-        shapes = [[p.shape for p in layer.params] for layer in trainable]
+        ends = np.cumsum([0] + [p.size for p in self.params])
         # zeros made first take fresh pages, which stay out of the resident
         # set until a backward pass writes them; made after the copy, they
         # would reuse memory it freed
-        self.flat_grads = np.zeros(sum(p.size for p in self.params))
+        self.flat_grads = np.zeros(ends[-1])
         self.flat_params = np.concatenate(
             [np.empty(0)] + [p.ravel() for p in self.params]
         )
-        views = zip(_split(self.flat_params, shapes), _split(self.flat_grads, shapes))
-        for layer, (params, grads) in zip(trainable, views):
-            layer.params, layer.grads = params, grads
+        spans = iter(zip(ends[:-1], ends[1:]))
+        for layer in self.layers:
+            parts = [(slice(*next(spans)), p.shape) for p in layer.params]
+            if parts:
+                layer.params = [self.flat_params[s].reshape(n) for s, n in parts]
+                layer.grads = [self.flat_grads[s].reshape(n) for s, n in parts]
 
     @property
     def params(self):
@@ -121,13 +121,6 @@ class Network:
     def __repr__(self):
         inner = ", ".join(repr(layer) for layer in self.layers)
         return f"Network([{inner}])"
-
-
-def _split(flat, shapes):
-    """Per layer, the consecutive views of ``flat`` with that layer's shapes."""
-    sizes = [prod(shape) for layer in shapes for shape in layer]
-    views = iter(np.split(flat, np.cumsum(sizes)[:-1]))
-    return [[next(views).reshape(shape) for shape in layer] for layer in shapes]
 
 
 def pooled_extent(extent, n_blocks):

@@ -30,7 +30,7 @@ from poroscale.surrogate import (
     save_network,
     train,
 )
-from poroscale.surrogate.layers import KERNEL, he_uniform
+from poroscale.surrogate.layers import he_uniform
 from poroscale.surrogate.network import (
     ADAM_BETA1,
     ADAM_BLOCK,
@@ -355,6 +355,9 @@ def test_plans_follow_batch_shape_changes():
         assert net.flat_grads.tobytes() == want.flat_grads.tobytes()
     x = rng.normal(size=(INFERENCE_CHUNK, 1, 8, 8))
     assert net.predict(x).tobytes() == fresh().predict(x).tobytes()
+    # and each Conv plan was rebuilt for the last batch shape
+    convs = [layer for layer in net.layers if isinstance(layer, Conv)]
+    assert all(layer._plan.shape[0] == INFERENCE_CHUNK for layer in convs)
 
 
 @pytest.mark.parametrize("dim,patch", [(2, 7), (3, 5)])
@@ -402,35 +405,34 @@ def test_layers_hold_views_of_the_flat_vectors():
         assert net.flat_params[start] == 123.5
 
 
-def plan_arrays(plan):
-    """The arrays a layer plan references, nested tuples and lists included."""
-    found = []
-    stack = list(vars(plan).values())
-    while stack:
-        item = stack.pop()
-        if isinstance(item, np.ndarray):
-            found.append(item)
-        elif isinstance(item, (tuple, list)):
-            stack.extend(item)
-    return found
-
-
-def test_conv_plans_keep_at_most_the_bordered_input():
+def test_conv_plans_keep_no_array():
+    # after inference on 64 samples of 12^3 and a training step at batch 8
     net = build_network(3, 12, 6, seed=47)
     rng = np.random.default_rng(48)
     net.predict(rng.random(size=(64, 1, 12, 12, 12)))
     out = net.forward(rng.random(size=(8, 1, 12, 12, 12)), train=True, rng=rng)
     net.backward(np.ones_like(out), input_grad=False)
-    convs = [layer for layer in net.layers if isinstance(layer, Conv)]
-    for layer in convs:
-        batch, ch, *spatial = layer._plan.shape
-        assert batch == 8  # rebuilt for the training batch
-        bound = 8 * batch * ch * prod(n + 2 * (KERNEL // 2) for n in spatial)
-        arrays = plan_arrays(layer._plan)
-        owners = [a for a in arrays if a.flags.owndata]
-        # every other array is a view of an owned buffer
-        assert all(any(np.shares_memory(a, o) for o in owners) for a in arrays)
-        assert sum(a.nbytes for a in owners) <= bound, layer
+    for layer in net.layers:
+        if isinstance(layer, Conv):
+            plan = vars(layer._plan).values()
+            assert not any(isinstance(v, np.ndarray) for v in plan), layer
+
+
+def test_conv_holds_one_column_matrix():
+    # the second pass frees the first pass's column matrix before it makes
+    # its own, so the two never live at once
+    layer = Conv(2, 4, 1, rng=np.random.default_rng(49))
+    x = np.random.default_rng(50).normal(size=(64, 4, 16, 16))
+    tracemalloc.start()
+    try:
+        layer.forward(x)
+        cols = layer._cols.nbytes
+        tracemalloc.reset_peak()
+        layer.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cols
 
 
 def test_conv_identity_kernel():
