@@ -15,8 +15,14 @@ raise :class:`FormatError` on any mismatch, including truncated files.
 
 Datasets and models are directories of such files, one ``<name>.nhar``
 member per array (:func:`write_members`, :func:`read_member`).
+
+Every run file reaches disk through :func:`write_array` or
+:func:`write_text` (UTF-8, ``\\n`` line ends), and both create the file's
+parent directory, so no caller makes one first.
 """
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -32,12 +38,20 @@ DTYPE_F64 = 0
 def write_array(path, array):
     """Write a float64 array; other dtypes are converted."""
     array = np.asarray(array, dtype="<f8", order="C")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<BB", DTYPE_F64, array.ndim))
         fh.write(struct.pack(f"<{array.ndim}Q", *array.shape))
-        fh.write(array.tobytes())
+        # from the array's own buffer, without a bytes copy of the payload
+        fh.write(array)
+
+
+def write_text(path, text):
+    """Write ``text`` as UTF-8 with ``\\n`` line ends."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _read_exact(fh, n, path):
@@ -58,16 +72,19 @@ def read_array(path):
         if dtype_code != DTYPE_F64:
             raise FormatError(f"{path}: unknown dtype code {dtype_code}")
         shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, path))
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        payload = _read_exact(fh, 8 * count, path)
+        # a corrupt extent must not size an allocation the file cannot fill
+        if 8 * math.prod(shape) > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise FormatError(f"{path}: truncated file")
+        array = np.empty(shape, dtype="<f8")
+        if fh.readinto(array) != array.nbytes:
+            raise FormatError(f"{path}: truncated file")
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
-    return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    return array
 
 
 def write_members(directory, members):
     """Write each ``name: array`` of ``members`` to ``directory/<name>.nhar``."""
-    Path(directory).mkdir(parents=True, exist_ok=True)
     for name, values in members.items():
         write_array(Path(directory) / f"{name}.nhar", values)
 

@@ -1,11 +1,13 @@
 """Pipeline stages over a run directory.
 
 Each stage reads the artifacts of earlier stages from the run directory
-and writes its own in documented formats. Realizations 0 .. M-1 form the
-training corpus; the next ``n_test_realizations`` indices are held-out
-domains used for the solve and report stages. All stages are
-deterministic given the configuration, so reruns reproduce every artifact
-byte for byte (timing files excluded).
+and writes its own in documented formats, every file through
+``arrayio.write_array`` (directly or via ``write_members``) or
+``arrayio.write_text``, which also create its directory. Realizations
+0 .. M-1 form the training corpus; the next ``n_test_realizations``
+indices are held-out domains used for the solve and report stages. All
+stages are deterministic given the configuration, so reruns reproduce
+every artifact byte for byte (timing files excluded).
 
 Every stage keeps one record, a flat JSON object: ``stage`` (the stage
 name), ``total_s`` (its wall time), one ``<span>_s`` entry per timed span
@@ -36,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrayio import read_array, write_array
+from .arrayio import read_array, write_array, write_text
 from .dataset import (
     TARGET_ELASTICITY,
     TARGET_PERMEABILITY,
@@ -82,11 +84,6 @@ class RunLayout:
 
     def __init__(self, root):
         self.root = Path(root)
-
-    def dir(self, name):
-        path = self.root / name
-        path.mkdir(parents=True, exist_ok=True)
-        return path
 
     def field_path(self, index, prop):
         return self.root / "fields" / f"real_{index:04d}_{prop}.nhar"
@@ -167,18 +164,13 @@ def _stage(layout, name):
     yield record
     record["stage"] = name
     record["total_s"] = time.perf_counter() - t0
-    layout.dir("timing")
-    with open(layout.timing_path(name), "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    write_text(layout.timing_path(name), text)
 
 
 def _read_timing(layout, stage):
     path = layout.timing_path(stage)
-    if not path.exists():
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(path.read_text("utf-8")) if path.exists() else None
 
 
 def _read_stored(path, shape, command):
@@ -221,7 +213,6 @@ def generate_fields_stage(config, layout):
     with _stage(layout, "generate-fields") as record:
         grid = StructuredGrid(config.fine_cells)
         basis = build_kl_basis(grid, config.field)
-        layout.dir("fields")
         for index in all_indices(config):
             values = sample_field(basis, config.realization_seed(index))
             fields = field_to_properties(values, config.props)
@@ -241,7 +232,6 @@ def homogenize_stage(config, layout):
     """
     with _stage(layout, "homogenize") as record:
         grid = StructuredGrid(config.fine_cells)
-        layout.dir("tensors")
         with record.span("engine_setup"):
             engine = PatchEngine(patch_grid(grid, config.coarse_cells))
             operators = {
@@ -270,7 +260,6 @@ def build_dataset_stage(config, layout):
         grid = StructuredGrid(config.fine_cells)
         realizations = [load_fields(layout, config, i) for i in train_indices(config)]
         tensors = [load_tensors(layout, config, i) for i in train_indices(config)]
-        layout.dir("datasets")
         for target in TARGETS:
             ds = build_dataset(grid, config.coarse_cells, realizations, tensors, target)
             save_dataset(ds, layout.dataset_path(target))
@@ -281,17 +270,9 @@ def build_dataset_stage(config, layout):
     return record
 
 
-def _loss_csv(history, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,train_mse,val_mse\n")
-        for epoch, train_mse, val_mse in history:
-            fh.write(f"{epoch},{train_mse!r},{val_mse!r}\n")
-
-
 def train_stage(config, layout):
     """Train one network per target; store weights and loss history."""
     with _stage(layout, "train") as record:
-        layout.dir("models")
         for target in TARGETS:
             _require(layout.dataset_path(target), "build-dataset")
             ds = load_dataset(layout.dataset_path(target))
@@ -307,7 +288,9 @@ def train_stage(config, layout):
             with record.span("offline_train", target):
                 history = train(network, parts["train"], parts["val"], settings)
             save_network(network, layout.model_path(target))
-            _loss_csv(history, layout.loss_path(target))
+            rows = [f"{epoch},{t!r},{v!r}\n" for epoch, t, v in history]
+            csv = "epoch,train_mse,val_mse\n" + "".join(rows)
+            write_text(layout.loss_path(target), csv)
             steps = settings.epochs * -(-len(parts["train"]) // settings.batch_size)
             record.put("optimizer_steps", target, steps)
             # mean seconds per optimizer step, the per-epoch validation passes included
@@ -333,7 +316,6 @@ def _metrics_rows(metrics):
 def evaluate_stage(config, layout):
     """Per-split metrics of the trained networks as CSV; test metrics per target."""
     with _stage(layout, "evaluate") as record:
-        layout.dir("metrics")
         for target in TARGETS:
             with record.span("per_target", target):
                 _require(layout.dataset_path(target), "build-dataset")
@@ -341,20 +323,18 @@ def evaluate_stage(config, layout):
                 ds = load_dataset(layout.dataset_path(target))
                 parts = split(ds, config.split)
                 network = load_network(layout.model_path(target))
-                with open(
-                    layout.metrics_path(target), "w", encoding="utf-8", newline="\n"
-                ) as fh:
-                    fh.write("split,component,mse,mae_pct,rmse_pct\n")
-                    for name in ("train", "val", "test"):
-                        metrics = evaluate(network, parts[name])
-                        for component, mse, mae, rmse in _metrics_rows(metrics):
-                            fh.write(f"{name},{component},{mse!r},{mae!r},{rmse!r}\n")
-                        if name == "test":
-                            record[target] = {
-                                "test_mse": metrics.mse,
-                                "test_mae_pct": metrics.mae_pct,
-                                "test_rmse_pct": metrics.rmse_pct,
-                            }
+                lines = ["split,component,mse,mae_pct,rmse_pct\n"]
+                for name in ("train", "val", "test"):
+                    metrics = evaluate(network, parts[name])
+                    for component, mse, mae, rmse in _metrics_rows(metrics):
+                        lines.append(f"{name},{component},{mse!r},{mae!r},{rmse!r}\n")
+                write_text(layout.metrics_path(target), "".join(lines))
+                # the loop ends on the test split
+                record[target] = {
+                    "test_mse": metrics.mse,
+                    "test_mae_pct": metrics.mae_pct,
+                    "test_rmse_pct": metrics.rmse_pct,
+                }
     return record
 
 
@@ -382,7 +362,6 @@ def predict_stage(config, layout):
     """Replace local solves by network prediction on held-out domains."""
     with _stage(layout, "predict") as record:
         grid = StructuredGrid(config.fine_cells)
-        layout.dir("predicted")
         networks, scalers = {}, {}
         with record.span("online_load"):
             for target in TARGETS:
@@ -399,31 +378,21 @@ def predict_stage(config, layout):
                 )
             for target, count in clamped.items():
                 record["spd_clamped"][target] += count
-            write_array(
-                layout.tensor_path(index, "perm", PREDICTED),
-                outputs[TARGET_PERMEABILITY],
-            )
-            write_array(
-                layout.tensor_path(index, "stiff", PREDICTED),
-                outputs[TARGET_ELASTICITY],
-            )
+            for kind, target in zip(("perm", "stiff"), TARGETS):
+                write_array(layout.tensor_path(index, kind, PREDICTED), outputs[target])
     return record
 
 
 def _write_states(layout, kind, index, states):
-    write_array(
-        layout.state_path(kind, index, "p"), np.stack([s.p for s in states])
-    )
-    write_array(
-        layout.state_path(kind, index, "u"), np.stack([s.u for s in states])
-    )
+    for part in ("p", "u"):
+        values = np.stack([getattr(s, part) for s in states])
+        write_array(layout.state_path(kind, index, part), values)
 
 
 def solve_fine_stage(config, layout):
     """Reference fine-grid solves on the held-out realizations."""
     with _stage(layout, "solve-fine") as record:
         grid = StructuredGrid(config.fine_cells)
-        layout.dir("states")
         for index in held_out_indices(config):
             fields = load_fields(layout, config, index)
             with record.span("per_realization", index):
@@ -439,7 +408,6 @@ def solve_coarse_stage(config, layout, source=DIRECT):
     if source not in (DIRECT, PREDICTED):
         raise ParameterError(f"unknown tensor source {source!r}")
     with _stage(layout, f"solve-coarse-{source}") as record:
-        layout.dir("states")
         for index in held_out_indices(config):
             eff = load_tensors(layout, config, index, source)
             with record.span("per_realization", index):
@@ -494,7 +462,6 @@ def report_stage(config, layout):
     with _stage(layout, "report") as record:
         fine_grid = StructuredGrid(config.fine_cells)
         coarse_grid = StructuredGrid(config.coarse_cells)
-        layout.dir("report")
 
         # any predicted state asks for all of them, so a partial set fails
         sources = [DIRECT]
@@ -530,12 +497,10 @@ def report_stage(config, layout):
             for index in held_out_indices(config)
         ]
 
-        with open(layout.errors_csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("test,case,realization,e_p_L2,e_p_en,e_u_L2,e_u_en\n")
-            for row in rows:
-                test, case, index = row[:3]
-                values = ",".join(repr(v) for v in row[3:])
-                fh.write(f"{test},{case},{index},{values}\n")
+        csv = ["test,case,realization,e_p_L2,e_p_en,e_u_L2,e_u_en\n"]
+        for test, case, index, *values in rows:
+            csv.append(f"{test},{case},{index}," + ",".join(map(repr, values)) + "\n")
+        write_text(layout.errors_csv, "".join(csv))
 
         lines = [
             f"run {config.name}: {config.dimension}D, "
@@ -571,8 +536,7 @@ def report_stage(config, layout):
         lines.append("timing:")
         timing_lines, speedups = _speedup_block(layout)
         lines.extend("  " + line for line in timing_lines)
-        with open(layout.summary_txt, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(layout.summary_txt, "\n".join(lines) + "\n")
         record.update(rows=len(rows), sources=sources, speedups=speedups)
         record["errors_csv"] = str(layout.errors_csv)
         record["summary_txt"] = str(layout.summary_txt)

@@ -64,18 +64,18 @@ class Conv:
     """Cross-correlation with fixed 3^d kernels, stride 1, zero same-padding.
 
     Weights are (out_ch, in_ch, 3, ..., 3); input (batch, in_ch, *spatial)
-    keeps its spatial extents.
+    keeps its spatial extents. They are He-uniform draws from ``rng``, or
+    zeros without one, for a loader to fill.
     """
 
     def __init__(self, dim, in_channels, out_channels, rng=None):
         if dim not in (2, 3):
             raise ParameterError("convolution supports 2 or 3 spatial axes")
-        if rng is None:
-            rng = np.random.default_rng()
         self.dim = dim
         fan_in = in_channels * KERNEL**dim
         shape = (out_channels, in_channels) + (KERNEL,) * dim
-        self.params = [he_uniform(rng, shape, fan_in), np.zeros(out_channels)]
+        weight = np.zeros(shape) if rng is None else he_uniform(rng, shape, fan_in)
+        self.params = [weight, np.zeros(out_channels)]
         self.grads = [np.zeros_like(p) for p in self.params]
         self._cols = None
         self._plan = None
@@ -241,12 +241,12 @@ class Flatten:
 
 
 class Dense:
-    """Affine map on (batch, n_in) activations."""
+    """Affine map on (batch, n_in) activations; weights as in :class:`Conv`."""
 
     def __init__(self, n_in, n_out, rng=None):
-        if rng is None:
-            rng = np.random.default_rng()
-        self.params = [he_uniform(rng, (n_in, n_out), n_in), np.zeros(n_out)]
+        shape = (n_in, n_out)
+        weight = np.zeros(shape) if rng is None else he_uniform(rng, shape, n_in)
+        self.params = [weight, np.zeros(n_out)]
         self.grads = [np.zeros_like(p) for p in self.params]
         self._x = None
 

@@ -24,9 +24,10 @@ the weights it holds.
     architecture.nhar  (4,)  dim, patch, n_out, dropout
     weights.nhar       (P,)  ``flat_params``
 
-Loading rebuilds the network from ``architecture.nhar`` and overwrites
-its ``flat_params``, so only networks that ``build_network`` made can be
-saved. Optimizer state and the initialization seed are not stored.
+Loading rebuilds the network from ``architecture.nhar`` with zero
+weights, drawing none, and fills its ``flat_params``, so only networks
+that ``build_network`` made can be saved. Optimizer state and the
+initialization seed are not stored.
 """
 
 import numpy as np
@@ -131,7 +132,11 @@ def pooled_extent(extent, n_blocks):
 
 
 def build_network(dim, patch, n_out, dropout=DEFAULT_DROPOUT, seed=0):
-    """Patch regressor for d-dimensional inputs of extent ``patch``."""
+    """Patch regressor for d-dimensional inputs of extent ``patch``.
+
+    Weights are He-uniform draws seeded by ``seed``; ``seed=None`` leaves
+    them zero, for :func:`load_network` to fill.
+    """
     if dim == 2:
         filters = FILTERS_2D
     elif dim == 3:
@@ -142,7 +147,7 @@ def build_network(dim, patch, n_out, dropout=DEFAULT_DROPOUT, seed=0):
         raise ParameterError("patch extent must be positive")
     if n_out < 1:
         raise ParameterError("output count must be positive")
-    rng = np.random.default_rng(seed)
+    rng = None if seed is None else np.random.default_rng(seed)
     layers = []
     in_ch = 1
     for out_ch in filters:
@@ -228,7 +233,7 @@ def load_network(path):
         )
     dim, patch, n_out = (int(v) for v in arch[:3])
     try:
-        network = build_network(dim, patch, n_out, dropout=float(arch[3]))
+        network = build_network(dim, patch, n_out, dropout=float(arch[3]), seed=None)
     except ParameterError as exc:
         raise FormatError(f"{path}: model member architecture.nhar: {exc}") from None
     if weights.shape != network.flat_params.shape:

@@ -1,11 +1,20 @@
 """On-disk array format: round trips, golden bytes, corruption handling."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from poroscale.arrayio import MAGIC, VERSION, read_array, write_array
+from poroscale.arrayio import (
+    MAGIC,
+    VERSION,
+    read_array,
+    read_member,
+    write_array,
+    write_members,
+    write_text,
+)
 from poroscale.errors import FormatError
 
 
@@ -114,6 +123,16 @@ def test_truncation(tmp_path, cut):
         read_array(path)
 
 
+@pytest.mark.parametrize("shape", [(2**61,), (2**20, 2**20)])
+def test_extent_beyond_the_file_is_truncation(tmp_path, shape):
+    # header of an array far larger than memory, then 16 payload bytes
+    path = tmp_path / "huge.nhar"
+    header = MAGIC + struct.pack("<I", VERSION) + struct.pack("<BB", 0, len(shape))
+    path.write_bytes(header + struct.pack(f"<{len(shape)}Q", *shape) + bytes(16))
+    with pytest.raises(FormatError, match="truncated"):
+        read_array(path)
+
+
 def test_trailing_bytes(tmp_path):
     path = corrupt(tmp_path, "x.nhar", lambda raw: raw + b"\x00")
     with pytest.raises(FormatError, match="trailing"):
@@ -125,3 +144,35 @@ def test_empty_file(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(FormatError, match="truncated"):
         read_array(path)
+
+
+def test_writers_create_missing_directories(tmp_path):
+    write_array(tmp_path / "a" / "b" / "x.nhar", np.ones(2))
+    write_members(tmp_path / "c" / "d", {"y": np.zeros(3)})
+    write_text(tmp_path / "e" / "f" / "z.txt", "z\n")
+    assert read_array(tmp_path / "a" / "b" / "x.nhar").tolist() == [1.0, 1.0]
+    assert read_member(tmp_path / "c" / "d", "y").tolist() == [0.0] * 3
+    assert (tmp_path / "e" / "f" / "z.txt").read_bytes() == b"z\n"
+
+
+def test_write_text_is_utf8_with_lf_line_ends(tmp_path):
+    path = tmp_path / "t.csv"
+    write_text(path, "a,b\nµ,1.5\n")
+    assert path.read_bytes() == "a,b\nµ,1.5\n".encode("utf-8")
+
+
+def test_payload_is_not_copied(tmp_path):
+    array = np.arange(2**20, dtype=float)  # 8 MiB
+    path = tmp_path / "big.nhar"
+    tracemalloc.start()
+    try:
+        write_array(path, array)
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = read_array(path)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert write_peak < 2**20
+    assert read_peak < 1.25 * array.nbytes
+    assert back.tobytes() == array.tobytes()

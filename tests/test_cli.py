@@ -273,7 +273,6 @@ def test_fields_of_another_grid_are_an_error(capsys, tmp_path):
 
 def test_tensors_of_another_grid_are_an_error(capsys, tmp_path):
     layout = RunLayout(tmp_path)
-    layout.dir("tensors")
     # desk-mini has 4x4 coarse cells: (16, 2, 2) and (16, 3, 3) tensors
     write_array(layout.tensor_path(2, "perm"), np.tile(np.eye(2), (9, 1, 1)))
     write_array(layout.tensor_path(2, "stiff"), np.tile(np.eye(3), (16, 1, 1)))
@@ -306,7 +305,9 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
         _, printed = out.split(f"poroscale {stage[0]}: ok\n")
         # the CLI prints exactly the stage record it wrote
         name = "-".join(stage[0:1] + stage[2:])
-        record = json.loads(layout.timing_path(name).read_text("utf-8"))
+        text = layout.timing_path(name).read_bytes().decode("utf-8")
+        assert text.endswith("\n") and "\r" not in text
+        record = json.loads(text)
         assert record["stage"] == name and record["total_s"] > 0.0
         assert json.loads(printed) == record
 
@@ -428,7 +429,7 @@ def test_incomplete_predicted_states_are_an_error(capsys, tmp_path):
 
 def test_speedup_lines_survive_zero_prediction_time(tmp_path):
     layout = RunLayout(tmp_path)
-    layout.dir("timing")
+    (tmp_path / "timing").mkdir()
     timings = {
         "homogenize": {"per_realization_s": {"2": 0.5, "3": 0.8}},
         "predict": {"per_realization_s": {"2": 0.0, "3": 0.1}},

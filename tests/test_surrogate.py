@@ -928,6 +928,29 @@ def test_weights_round_trip(tmp_path):
         assert net.forward(x).tobytes() == clone.forward(x).tobytes()
 
 
+def test_load_draws_no_weights(tmp_path, monkeypatch):
+    nets = {dim: build_network(dim, 6, 3, seed=33) for dim in (2, 3)}
+    for dim, net in nets.items():
+        save_network(net, tmp_path / f"model{dim}")
+
+    def no_draws(*args):
+        raise AssertionError("load_network drew initial weights")
+
+    monkeypatch.setattr("poroscale.surrogate.layers.he_uniform", no_draws)
+    for dim, net in nets.items():
+        clone = load_network(tmp_path / f"model{dim}")
+        assert clone.flat_params.tobytes() == net.flat_params.tobytes()
+
+
+def test_layers_without_a_generator_start_at_zero():
+    for layer in (Conv(2, 2, 3), Conv(3, 1, 2), Dense(4, 5)):
+        assert not any(p.any() for p in layer.params)
+    # a seeded network draws its first layer first, as it always has
+    seeded = build_network(2, 8, 3, seed=5)
+    want = he_uniform(np.random.default_rng(5), (FILTERS_2D[0], 1, 3, 3), 9)
+    assert seeded.params[0].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("member", ["architecture", "weights"])
 def test_load_rejects_missing_model_member(tmp_path, member):
     save_network(build_network(2, 4, 3), tmp_path / "model")
