@@ -24,7 +24,7 @@ from .dataset import SplitSpec
 from .errors import ParameterError
 from .poro import PoroConstants, TimeSteppingConfig
 from .random_field import CovarianceSpec, PropertyParams
-from .surrogate import TrainConfig
+from .surrogate.training import TrainConfig
 
 # config_to_text has no caller in the package: perfbench and the tests use it
 __all__ = [

@@ -46,13 +46,6 @@ def target_components(target, d):
     raise ParameterError(f"unknown target {target!r}")
 
 
-def target_from_components(n_out, d):
-    for target in (TARGET_PERMEABILITY, TARGET_ELASTICITY):
-        if target_components(target, d) == n_out:
-            return target
-    raise ParameterError(f"no target has {n_out} components in {d}D")
-
-
 @dataclass
 class Scaler:
     """Min-max ranges of the raw dataset; inverse recovers raw values.
@@ -127,7 +120,6 @@ class Dataset:
 
     dimension: int
     patch_size: int
-    target: str
     X: np.ndarray
     Y: np.ndarray
     realization: np.ndarray
@@ -145,7 +137,6 @@ class Dataset:
         return Dataset(
             dimension=self.dimension,
             patch_size=self.patch_size,
-            target=self.target,
             X=self.X[indices],
             Y=self.Y[indices],
             realization=self.realization[indices],
@@ -207,7 +198,6 @@ def build_dataset(fine_grid, coarse_cells, realizations, tensors, target):
     return Dataset(
         dimension=d,
         patch_size=n_l,
-        target=target,
         X=scaler.scale_input(X),
         Y=scaler.scale_output(Y),
         realization=np.repeat(np.arange(n_real, dtype=np.int64), n_cells),
@@ -281,14 +271,12 @@ def load_dataset(path):
     ):
         if values.shape != shape:
             raise _bad_member(path, name, values.shape, f"{shape} ({source})")
-    try:
-        target = target_from_components(n_out, d)
-    except ParameterError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    targets = (TARGET_PERMEABILITY, TARGET_ELASTICITY)
+    if n_out not in [target_components(t, d) for t in targets]:
+        raise FormatError(f"{path}: no target has {n_out} components in {d}D")
     return Dataset(
         dimension=d,
         patch_size=X.shape[1],
-        target=target,
         X=X,
         Y=Y,
         realization=ids[:, 0].astype(np.int64),

@@ -19,9 +19,11 @@ the symmetrized tensors that :func:`homogenize_domain` stores.
 
 Every cell's nodal values come from one strided view of the fine field,
 :func:`cell_windows`, which also gives the network inputs of
-:mod:`poroscale.dataset`. All cells share one patch grid, so a
-:class:`PatchEngine` builds the element blocks of each operator once, for
-the scatter of :mod:`poroscale.fem`; a patch's matrix is then summed from
+:mod:`poroscale.dataset`. All cells share one patch grid and one Poisson
+ratio; a :class:`PatchEngine` is built for one of each, and
+:func:`homogenize_domain` refuses an engine of another grid or ratio. The
+engine builds the element blocks of each operator once, for the scatter
+of :mod:`poroscale.fem`; a patch's matrix is then summed from
 reference element matrices weighted by the element coefficient (at fixed
 Poisson ratio the isotropic stiffness is linear in Young's modulus). The
 boundary dofs are eliminated by index, the one Dirichlet policy of the
@@ -166,16 +168,17 @@ class CellOperator:
 
 
 class PatchEngine(P1Space):
-    """Cell-problem operators of one patch grid, shared by all its patches.
+    """Cell-problem operators of one patch grid and one Poisson ratio
+    ``eta``, shared by all its patches.
 
     The operators are built on first use; build them before sharing the
     engine between threads.
     """
 
-    def __init__(self, grid):
+    def __init__(self, grid, eta):
         super().__init__(grid)
+        self.eta = eta
         self.bnodes = grid.all_boundary_nodes()
-        self._elasticity = {}
 
     @cached_property
     def diffusion(self):
@@ -185,26 +188,25 @@ class PatchEngine(P1Space):
         coords = self.grid.node_coords[self.bnodes]
         return CellOperator(self, 1, reference, self.bnodes, coords)
 
-    def elasticity(self, eta):
-        """Vector problems at unit Young's modulus, built once per ``eta``.
+    @cached_property
+    def elasticity(self):
+        """Vector problems at unit Young's modulus.
 
         One problem per strain component, with boundary data u = Lambda x.
         """
-        if eta not in self._elasticity:
-            B, d = self.class_strain, self.d
-            C = isotropic_stiffness(1.0, eta, d)
-            reference = self.grid.element_volume * np.einsum("tia,ij,tjb->tab", B, C, B)
-            coords = self.grid.node_coords[self.bnodes]
-            pairs = strain_component_pairs(d)
-            data = np.stack([coords @ unit_strain_tensor(p, d) for p in pairs], -1)
-            self._elasticity[eta] = CellOperator(
-                self,
-                d,
-                reference,
-                (self.bnodes[:, None] * d + np.arange(d)).ravel(),
-                data.reshape(-1, len(pairs)),  # node-major vector dofs
-            )
-        return self._elasticity[eta]
+        B, d = self.class_strain, self.d
+        C = isotropic_stiffness(1.0, self.eta, d)
+        reference = self.grid.element_volume * np.einsum("tia,ij,tjb->tab", B, C, B)
+        coords = self.grid.node_coords[self.bnodes]
+        pairs = strain_component_pairs(d)
+        data = np.stack([coords @ unit_strain_tensor(p, d) for p in pairs], -1)
+        return CellOperator(
+            self,
+            d,
+            reference,
+            (self.bnodes[:, None] * d + np.arange(d)).ravel(),
+            data.reshape(-1, len(pairs)),  # node-major vector dofs
+        )
 
     def permeability(self, k_e):
         """Raw flux-averaged permeability (d, d) of per-element values."""
@@ -218,37 +220,25 @@ class PatchEngine(P1Space):
         volume = grid.element_volume * grid.elements.shape[0]
         return grid.element_volume / volume * np.einsum("e,ejl->lj", k_e, gpsi)
 
-    def stiffness(self, young_e, eta):
+    def stiffness(self, young_e):
         """Raw energy stiffness (m, m), sqrt(2) convention, of per-element
-        Young's moduli at Poisson ratio ``eta``."""
-        lame_parameters(young_e, eta)  # validates E > 0 and the Poisson ratio
-        phi, A_phi = self.elasticity(eta).solve(young_e)
+        Young's moduli at the engine's Poisson ratio."""
+        lame_parameters(young_e, self.eta)  # validates E > 0 and the Poisson ratio
+        phi, A_phi = self.elasticity.solve(young_e)
         volume = self.grid.element_volume * self.grid.elements.shape[0]
         w = mandel_weights(self.d)
         return np.outer(w, w) * (phi.T @ A_phi / volume)
 
 
-def _engine(space):
-    return space if isinstance(space, PatchEngine) else PatchEngine(space.grid)
-
-
-def effective_permeability(space, perm):
-    """Symmetrized effective permeability of one patch of nodal values, (d, d).
-
-    ``space`` may be a :class:`PatchEngine` to reuse.
-    """
-    engine = _engine(space)
+def effective_permeability(engine, perm):
+    """Symmetrized effective permeability of one patch of nodal values, (d, d)."""
     raw = engine.permeability(engine.element_values(perm))
     return 0.5 * (raw + raw.T)
 
 
-def effective_elasticity(space, young, eta):
-    """Symmetrized effective stiffness of one patch of nodal moduli, (m, m).
-
-    ``space`` may be a :class:`PatchEngine` to reuse.
-    """
-    engine = _engine(space)
-    raw = engine.stiffness(engine.element_values(young), eta)
+def effective_elasticity(engine, young):
+    """Symmetrized effective stiffness of one patch of nodal moduli, (m, m)."""
+    raw = engine.stiffness(engine.element_values(young))
     return 0.5 * (raw + raw.T)
 
 
@@ -256,7 +246,6 @@ def effective_elasticity(space, young, eta):
 class EffectiveTensors:
     """Per-coarse-cell effective tensors, row-major cell order."""
 
-    coarse_cells: tuple
     perm: np.ndarray  # (n_cells, d, d)
     stiffness: np.ndarray  # (n_cells, m, m)
 
@@ -270,22 +259,21 @@ def homogenize_domain(fine_grid, coarse_cells, fields, threads=1, engine=None):
 
     ``threads`` > 1 distributes patches over a thread pool; results are
     ordered row-major by coarse cell regardless. ``engine`` reuses a
-    :class:`PatchEngine` of the patch grid across domains; by default one
-    is built for this call.
+    :class:`PatchEngine` of the patch grid and of ``fields.eta`` across
+    domains; by default one is built for this call.
     """
-    coarse_cells = tuple(int(n) for n in coarse_cells)
     grid, patches = extract_patches(fine_grid, coarse_cells, fields)
     if engine is None:
-        engine = PatchEngine(grid)
-    elif engine.grid != grid:
-        raise ParameterError("engine was built for another patch grid")
+        engine = PatchEngine(grid, fields.eta)
+    elif engine.grid != grid or engine.eta != fields.eta:
+        raise ParameterError("engine was built for another patch grid or Poisson ratio")
     # build the shared operators before the pool touches them
-    engine.diffusion, engine.elasticity(fields.eta)
+    engine.diffusion, engine.elasticity
 
     def solve(patch):
         return (
             effective_permeability(engine, patch.perm),
-            effective_elasticity(engine, patch.young, patch.eta),
+            effective_elasticity(engine, patch.young),
         )
 
     if threads and threads > 1:
@@ -296,6 +284,4 @@ def homogenize_domain(fine_grid, coarse_cells, fields, threads=1, engine=None):
 
     perm = np.stack([r[0] for r in results])
     stiffness = np.stack([r[1] for r in results])
-    return EffectiveTensors(
-        coarse_cells=coarse_cells, perm=perm, stiffness=stiffness
-    )
+    return EffectiveTensors(perm=perm, stiffness=stiffness)

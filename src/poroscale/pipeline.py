@@ -57,17 +57,12 @@ from .homogenize import (
     PatchEngine,
     homogenize_domain,
     patch_grid,
+    patch_ratio,
 )
 from .poro import PoroState, error_norms, solve_coarse, solve_poroelasticity
 from .random_field import PropertyFields, build_kl_basis, field_to_properties, sample_field
-from .surrogate import (
-    build_network,
-    evaluate,
-    load_network,
-    predict_effective,
-    save_network,
-    train,
-)
+from .surrogate.network import build_network, load_network, save_network
+from .surrogate.training import evaluate, predict_effective, train
 
 TARGETS = (TARGET_PERMEABILITY, TARGET_ELASTICITY)
 
@@ -203,9 +198,7 @@ def load_tensors(layout, config, index, source=DIRECT):
         )
         for kind, k in (("perm", d), ("stiff", n_strain_components(d)))
     )
-    return EffectiveTensors(
-        coarse_cells=config.coarse_cells, perm=perm, stiffness=stiffness
-    )
+    return EffectiveTensors(perm=perm, stiffness=stiffness)
 
 
 def generate_fields_stage(config, layout):
@@ -233,10 +226,11 @@ def homogenize_stage(config, layout):
     with _stage(layout, "homogenize") as record:
         grid = StructuredGrid(config.fine_cells)
         with record.span("engine_setup"):
-            engine = PatchEngine(patch_grid(grid, config.coarse_cells))
+            patches = patch_grid(grid, config.coarse_cells)
+            engine = PatchEngine(patches, config.props.eta)
             operators = {
                 TARGET_PERMEABILITY: engine.diffusion,
-                TARGET_ELASTICITY: engine.elasticity(config.props.eta),
+                TARGET_ELASTICITY: engine.elasticity,
             }
         n_solves = len(all_indices(config)) * config.n_cells
         for target, operator in operators.items():
@@ -362,12 +356,21 @@ def predict_stage(config, layout):
     """Replace local solves by network prediction on held-out domains."""
     with _stage(layout, "predict") as record:
         grid = StructuredGrid(config.fine_cells)
+        patches = (config.dimension, patch_ratio(grid, config.coarse_cells))
         networks, scalers = {}, {}
         with record.span("online_load"):
             for target in TARGETS:
-                _require(layout.model_path(target), "train")
+                path = layout.model_path(target)
+                _require(path, "train")
                 _require(layout.dataset_path(target), "build-dataset")
-                networks[target] = load_network(layout.model_path(target))
+                network = networks[target] = load_network(path)
+                if network.architecture[:2] != patches:
+                    raise PipelineError(
+                        f"{path} was trained on (dimension, patch size) "
+                        f"{network.architecture[:2]}, the configured grids need "
+                        f"{patches}; run `poroscale build-dataset`, then "
+                        "`poroscale train` again"
+                    )
                 scalers[target] = load_scaler(layout.dataset_path(target))
         record["spd_clamped"] = dict.fromkeys(TARGETS, 0)
         for index in held_out_indices(config):
@@ -418,13 +421,15 @@ def solve_coarse_stage(config, layout, source=DIRECT):
     return record
 
 
-def _final_state(layout, kind, index, command):
-    p_path = layout.state_path(kind, index, "p")
-    u_path = layout.state_path(kind, index, "u")
-    _require(p_path, command)
-    _require(u_path, command)
-    p = read_array(p_path)
-    u = read_array(u_path)
+def _final_state(layout, config, grid, kind, index, command):
+    """Final state of one stored solve on ``grid``, all time steps present."""
+    rows = config.stepping.n_steps + 1
+    p, u = (
+        _read_stored(
+            layout.state_path(kind, index, part), (rows, k * grid.n_nodes), command
+        )
+        for part, k in (("p", 1), ("u", grid.dimension))
+    )
     return PoroState(p=p[-1], u=u[-1], time=0.0)
 
 
@@ -476,10 +481,14 @@ def report_stage(config, layout):
         reports = {}
         for index in held_out_indices(config):
             fields = load_fields(layout, config, index)
-            fine_state = _final_state(layout, "fine", index, "solve-fine")
+            fine_state = _final_state(
+                layout, config, fine_grid, "fine", index, "solve-fine"
+            )
             coarse_states = [
                 _final_state(
                     layout,
+                    config,
+                    coarse_grid,
                     f"coarse_{source}",
                     index,
                     f"solve-coarse --tensors {source}",

@@ -79,8 +79,6 @@ class KLBasis:
     captured variance fraction.
     """
 
-    spec: CovarianceSpec
-    node_shape: tuple
     eigenvalues: np.ndarray
     modes: np.ndarray
     total_energy: float
@@ -133,8 +131,6 @@ def build_kl_basis(grid, spec):
     for vecs, index in zip(axis_vecs, np.unravel_index(order, tuple(shape))):
         modes = (modes[:, :, None] * vecs[:, index].T[:, None, :]).reshape(n, -1)
     return KLBasis(
-        spec=spec,
-        node_shape=tuple(shape),
         eigenvalues=lam,
         modes=modes,
         total_energy=total,

@@ -175,7 +175,6 @@ class Adam:
     def __init__(self, network, learning_rate):
         if not learning_rate > 0:
             raise ParameterError("learning rate must be positive")
-        self.network = network
         self.learning_rate = learning_rate
         self.first = np.zeros_like(network.flat_params)
         self.second = np.zeros_like(network.flat_params)

@@ -54,7 +54,8 @@ from poroscale.random_field import (
     field_to_properties,
     sample_field,
 )
-from poroscale.surrogate import build_network, compute_metrics, load_network
+from poroscale.surrogate.network import build_network, load_network
+from poroscale.surrogate.training import compute_metrics
 
 pytestmark = pytest.mark.slow
 
@@ -107,12 +108,11 @@ def surrogate_run(tmp_path_factory):
 
 
 def test_criterion_01_constant_coefficients(criterion):
-    space = P1Space(StructuredGrid((8, 8)))
+    grid = StructuredGrid((8, 8))
     t0 = time.perf_counter()
-    kstar = effective_permeability(space, np.full(space.grid.n_nodes, 3.7))
-    cstar = effective_elasticity(
-        space, np.ones(space.grid.n_nodes), 0.25
-    )
+    engine = PatchEngine(grid, 0.25)
+    kstar = effective_permeability(engine, np.full(grid.n_nodes, 3.7))
+    cstar = effective_elasticity(engine, np.ones(grid.n_nodes))
     elapsed = time.perf_counter() - t0
     k_offset = np.abs(kstar - 3.7 * np.eye(2)).max()
     c_offset = np.abs(cstar - isotropic_stiffness(1.0, 0.25, 2)).max()
@@ -131,7 +131,7 @@ def test_criterion_02_laminate_oracle(criterion):
     layer = np.minimum((centers[:, 1] * 128).astype(int), 127)
     k_e = np.where(layer % 2 == 0, 1.0, 4.0)
     t0 = time.perf_counter()
-    raw = PatchEngine(grid).permeability(k_e)
+    raw = PatchEngine(grid, 0.3).permeability(k_e)
     kstar = 0.5 * (raw + raw.T)
     elapsed = time.perf_counter() - t0
     err11 = abs(kstar[0, 0] - 2.5) / 2.5
@@ -150,7 +150,7 @@ def test_criterion_03_bounds_property_suite(criterion):
     grid = StructuredGrid((16, 16))
     basis = build_kl_basis(grid, CovarianceSpec(sigma2=2.0, length_sq=(0.2, 0.2)))
     t0 = time.perf_counter()
-    engine = PatchEngine(grid)
+    engine = PatchEngine(grid, 0.3)
     satisfied = 0
     for trial in range(200):
         k = np.exp(sample_field(basis, (555, trial)))

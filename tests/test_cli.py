@@ -23,7 +23,8 @@ from poroscale.errors import ParameterError
 from poroscale.pipeline import RunLayout, _speedup_block
 from poroscale.poro import PoroConstants, TimeSteppingConfig
 from poroscale.random_field import CovarianceSpec, PropertyParams
-from poroscale.surrogate import TrainConfig, load_network, save_network
+from poroscale.surrogate.network import load_network, save_network
+from poroscale.surrogate.training import TrainConfig
 
 
 def save_config(config, path):
@@ -282,6 +283,47 @@ def test_tensors_of_another_grid_are_an_error(capsys, tmp_path):
     assert "poroscale solve-coarse: error:" in err
     assert "(9, 2, 2)" in err and "(16, 2, 2)" in err
     assert "`poroscale homogenize`" in err
+
+
+def fine_64_config(tmp_path):
+    """CLI arguments of desk-mini on a 64^2 fine grid: 16^2 patches, not 8^2."""
+    config = dataclasses.replace(
+        load_preset("desk-mini"), fine_cells=(64, 64), workdir=str(tmp_path)
+    )
+    save_config(config, tmp_path / "fine64.cfg")
+    return ["--config", str(tmp_path / "fine64.cfg")]
+
+
+def test_states_of_another_grid_are_an_error(capsys, tmp_path):
+    argv = fine_64_config(tmp_path)
+    assert main(["generate-fields"] + argv) == 0
+    # desk-mini's fine solve stores 21 states of 33^2 nodes, not 65^2; the
+    # coarse states of its 4^2 grid still fit
+    layout = RunLayout(tmp_path)
+    for kind, nodes in (("fine", 33 * 33), ("coarse_direct", 5 * 5)):
+        for part, k in (("p", 1), ("u", 2)):
+            write_array(layout.state_path(kind, 2, part), np.ones((21, k * nodes)))
+    capsys.readouterr()
+    assert main(["report"] + argv) == 1
+    err = capsys.readouterr().err
+    assert "poroscale report: error:" in err
+    assert "(21, 1089)" in err and "(21, 4225)" in err
+    assert "`poroscale solve-fine`" in err
+
+
+def test_models_of_another_patch_size_are_an_error(capsys, tmp_path):
+    argv = ["--preset", "desk-mini", "--workdir", str(tmp_path)]
+    for stage in (["generate-fields"], ["homogenize"], ["build-dataset"], ["train"]):
+        assert main(stage + argv) == 0, stage
+    argv = fine_64_config(tmp_path)
+    assert main(["generate-fields"] + argv) == 0
+    capsys.readouterr()
+    assert main(["predict"] + argv) == 1
+    err = capsys.readouterr().err
+    assert "poroscale predict: error:" in err
+    assert "(2, 8)" in err and "(2, 16)" in err
+    assert "`poroscale build-dataset`, then `poroscale train`" in err
+    assert not RunLayout(tmp_path).tensor_path(2, "perm", "predicted").exists()
 
 
 def test_mini_pipeline_end_to_end(capsys, tmp_path):

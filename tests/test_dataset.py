@@ -17,7 +17,6 @@ from poroscale.dataset import (
     save_dataset,
     split,
     target_components,
-    target_from_components,
 )
 from poroscale.errors import FormatError, ParameterError
 from poroscale.grid import StructuredGrid
@@ -36,7 +35,6 @@ def small_dataset(n=10, n_l=4, d=2, n_out=3, seed=0):
     return Dataset(
         dimension=d,
         patch_size=n_l,
-        target=target_from_components(n_out, d),
         X=rng.random(size=(n,) + (n_l,) * d),
         Y=rng.random(size=(n, n_out)),
         realization=np.arange(n) // 4,
@@ -50,12 +48,8 @@ def test_target_components():
     assert target_components(TARGET_PERMEABILITY, 3) == 6
     assert target_components(TARGET_ELASTICITY, 2) == 6
     assert target_components(TARGET_ELASTICITY, 3) == 21
-    assert target_from_components(6, 2) == TARGET_ELASTICITY
-    assert target_from_components(6, 3) == TARGET_PERMEABILITY
     with pytest.raises(ParameterError):
         target_components("stress", 2)
-    with pytest.raises(ParameterError):
-        target_from_components(5, 2)
 
 
 def test_split_size_anchors():
@@ -179,7 +173,6 @@ def test_save_load_round_trip(tmp_path):
         back = load_dataset(path)
         assert back.dimension == ds.dimension
         assert back.patch_size == ds.patch_size
-        assert back.target == ds.target
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.Y, ds.Y)
         assert np.array_equal(back.realization, ds.realization)
@@ -227,6 +220,13 @@ def test_load_rejects_mismatched_members(tmp_path, member, shape):
     save_dataset(small_dataset(n=3), tmp_path / "set")
     write_array(tmp_path / "set" / f"{member}.nhar", np.zeros(shape))
     with pytest.raises(FormatError, match=f"{member}.nhar"):
+        load_dataset(tmp_path / "set")
+
+
+def test_load_rejects_output_count_of_no_target(tmp_path):
+    # members agree on N_out = 5, but 2D targets have 3 or 6 components
+    save_dataset(small_dataset(n=3, n_out=5), tmp_path / "set")
+    with pytest.raises(FormatError, match="no target has 5 components in 2D"):
         load_dataset(tmp_path / "set")
 
 

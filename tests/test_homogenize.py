@@ -27,22 +27,22 @@ from poroscale.random_field import PropertyFields
 
 
 def test_constant_permeability_is_exact():
-    space = P1Space(StructuredGrid((8, 8)))
+    engine = PatchEngine(StructuredGrid((8, 8)), 0.3)
     for c in (1.0, 3.7):
-        kstar = effective_permeability(space, np.full(space.grid.n_nodes, c))
+        kstar = effective_permeability(engine, np.full(engine.grid.n_nodes, c))
         assert np.allclose(kstar, c * np.eye(2), atol=1e-10)
 
 
 def test_constant_permeability_is_exact_3d():
-    space = P1Space(StructuredGrid((4, 4, 4)))
-    kstar = effective_permeability(space, np.full(space.grid.n_nodes, 2.0))
+    engine = PatchEngine(StructuredGrid((4, 4, 4)), 0.3)
+    kstar = effective_permeability(engine, np.full(engine.grid.n_nodes, 2.0))
     assert np.allclose(kstar, 2.0 * np.eye(3), atol=1e-10)
 
 
 def test_constant_elasticity_matches_isotropic_matrix():
-    space = P1Space(StructuredGrid((8, 8)))
-    young = np.ones(space.grid.n_nodes)
-    cstar = effective_elasticity(space, young, 0.25)
+    engine = PatchEngine(StructuredGrid((8, 8)), 0.25)
+    young = np.ones(engine.grid.n_nodes)
+    cstar = effective_elasticity(engine, young)
     # lam = 0.4, mu = 0.4: diag (1.2, 1.2, 2*mu), off-diagonal 0.4
     expected = isotropic_stiffness(1.0, 0.25, 2)
     assert expected[0, 0] == pytest.approx(1.2)
@@ -52,9 +52,9 @@ def test_constant_elasticity_matches_isotropic_matrix():
 
 
 def test_constant_elasticity_matches_isotropic_matrix_3d():
-    space = P1Space(StructuredGrid((4, 4, 4)))
-    young = np.ones(space.grid.n_nodes)
-    cstar = effective_elasticity(space, young, 0.25)
+    engine = PatchEngine(StructuredGrid((4, 4, 4)), 0.25)
+    young = np.ones(engine.grid.n_nodes)
+    cstar = effective_elasticity(engine, young)
     assert np.allclose(cstar, isotropic_stiffness(1.0, 0.25, 3), atol=1e-8)
 
 
@@ -78,7 +78,7 @@ def test_laminate_series_parallel_means():
     def diag(n_layers):
         grid = StructuredGrid((128, 128))
         k_e = laminate_elements(grid, 1, [1.0, 4.0] * (n_layers // 2))
-        kstar = symmetrized(PatchEngine(grid).permeability(k_e))
+        kstar = symmetrized(PatchEngine(grid, 0.3).permeability(k_e))
         assert kstar[0, 0] == pytest.approx(2.5, rel=1e-10)  # parallel: exact
         assert abs(kstar[0, 1]) < 1e-12
         return kstar[1, 1]
@@ -93,7 +93,7 @@ def test_laminate_series_parallel_means():
 def test_laminate_elasticity_between_averages():
     grid = StructuredGrid((32, 32))
     young_e = laminate_elements(grid, 0, [1.0, 5.0, 1.0, 5.0])
-    cstar = symmetrized(PatchEngine(grid).stiffness(young_e, 0.3))
+    cstar = symmetrized(PatchEngine(grid, 0.3).stiffness(young_e))
     reuss = np.linalg.inv(
         0.5 * np.linalg.inv(isotropic_stiffness(1.0, 0.3, 2))
         + 0.5 * np.linalg.inv(isotropic_stiffness(5.0, 0.3, 2))
@@ -112,7 +112,7 @@ def test_laminate_elasticity_between_averages():
 def test_lognormal_patch_bounds(trial):
     rng = np.random.default_rng(100 + trial)
     grid = StructuredGrid((8, 8))
-    engine = PatchEngine(grid)
+    engine = PatchEngine(grid, 0.3)
     k = np.exp(rng.normal(0.0, np.sqrt(2.0), size=grid.n_nodes))
     k_e = engine.element_values(k)
     raw = engine.permeability(k_e)
@@ -129,10 +129,10 @@ def test_lognormal_patch_bounds(trial):
 def test_lognormal_patch_bounds_3d(trial):
     rng = np.random.default_rng(200 + trial)
     grid = StructuredGrid((4, 4, 4))
-    space = P1Space(grid)
+    engine = PatchEngine(grid, 0.3)
     k = np.exp(rng.normal(0.0, 1.0, size=grid.n_nodes))
-    kstar = effective_permeability(space, k)
-    k_e = space.element_values(k)
+    kstar = effective_permeability(engine, k)
+    k_e = engine.element_values(k)
     eigs = np.linalg.eigvalsh(kstar)
     assert eigs.min() >= (1.0 / np.mean(1.0 / k_e)) * (1.0 - 1e-6)
     assert eigs.max() <= np.mean(k_e) * (1.0 + 1e-6)
@@ -141,9 +141,9 @@ def test_lognormal_patch_bounds_3d(trial):
 def test_elasticity_symmetry_and_spd():
     rng = np.random.default_rng(7)
     grid = StructuredGrid((6, 6))
-    engine = PatchEngine(grid)
+    engine = PatchEngine(grid, 0.3)
     young = np.exp(rng.normal(0.0, 0.8, size=grid.n_nodes)) + 0.5
-    raw = engine.stiffness(engine.element_values(young), 0.3)
+    raw = engine.stiffness(engine.element_values(young))
     cstar = symmetrized(raw)
     assert np.abs(raw - raw.T).max() <= 1e-8 * np.abs(cstar).max()
     assert np.allclose(cstar, cstar.T, atol=1e-12)
@@ -153,10 +153,10 @@ def test_elasticity_symmetry_and_spd():
 def test_permeability_linearity():
     rng = np.random.default_rng(9)
     grid = StructuredGrid((6, 6))
-    space = P1Space(grid)
+    engine = PatchEngine(grid, 0.3)
     k = np.exp(rng.normal(size=grid.n_nodes))
-    a = effective_permeability(space, k)
-    b = effective_permeability(space, 3.0 * k)
+    a = effective_permeability(engine, k)
+    b = effective_permeability(engine, 3.0 * k)
     assert np.allclose(b, 3.0 * a, atol=1e-10)
 
 
@@ -217,15 +217,18 @@ def test_homogenize_domain_reuses_engine():
         young=rng.uniform(5.0, 15.0, size=fine.n_nodes),
         eta=0.3,
     )
-    engine = PatchEngine(StructuredGrid((4, 4)))
+    engine = PatchEngine(StructuredGrid((4, 4)), 0.3)
     fresh = homogenize_domain(fine, (2, 2), fields)
     shared = homogenize_domain(fine, (2, 2), fields, engine=engine)
     assert np.array_equal(fresh.perm, shared.perm)
     assert np.array_equal(fresh.stiffness, shared.stiffness)
     assert engine.diffusion.factor_fill > 0
-    assert engine.elasticity(0.3).factor_fill > 0
-    with pytest.raises(ParameterError):
+    assert engine.elasticity.factor_fill > 0
+    with pytest.raises(ParameterError, match="patch grid or Poisson ratio"):
         homogenize_domain(fine, (4, 4), fields, engine=engine)
+    other_ratio = PatchEngine(StructuredGrid((4, 4)), 0.25)
+    with pytest.raises(ParameterError, match="patch grid or Poisson ratio"):
+        homogenize_domain(fine, (2, 2), fields, engine=other_ratio)
 
 
 def test_homogenized_constant_field_all_cells_equal():
@@ -295,14 +298,14 @@ def test_engine_matches_full_assembly_reference(cells, kind, where):
     n = grid.n_nodes if where == "node" else grid.elements.shape[0]
     z = rng.normal(size=n)
     coeff = np.exp(1.4 * z) if kind == "lognormal" else 10.0 + 2.0 * np.clip(z, -4, 4)
-    engine = PatchEngine(grid)
+    engine = PatchEngine(grid, 0.3)
     if where == "node":
         perm = effective_permeability(engine, coeff)
-        stiff = effective_elasticity(engine, coeff, 0.3)
+        stiff = effective_elasticity(engine, coeff)
         coeff = space.element_values(coeff)
     else:
         perm = symmetrized(engine.permeability(coeff))
-        stiff = symmetrized(engine.stiffness(coeff, 0.3))
+        stiff = symmetrized(engine.stiffness(coeff))
     for got, ref in (
         (perm, reference_permeability(space, coeff)),
         (stiff, reference_elasticity(space, coeff, 0.3)),
@@ -320,33 +323,33 @@ def test_engine_reuse_is_bit_identical(cells):
     def tensors(engine, i):
         return (
             effective_permeability(engine, perms[i]),
-            effective_elasticity(engine, youngs[i], 0.3),
+            effective_elasticity(engine, youngs[i]),
         )
 
-    shared = PatchEngine(grid)
+    shared = PatchEngine(grid, 0.3)
     for i in range(3):
         tensors(shared, i)
-    for after, alone in zip(tensors(shared, 3), tensors(PatchEngine(grid), 3)):
+    for after, alone in zip(tensors(shared, 3), tensors(PatchEngine(grid, 0.3), 3)):
         assert np.array_equal(after, alone)
 
 
 @pytest.mark.parametrize("cells", [(4, 4), (3, 3, 3)])
 @pytest.mark.parametrize("sign", ["indefinite", "singular"])
 def test_band_solve_rejects_matrix_without_cholesky(cells, sign):
-    engine = PatchEngine(StructuredGrid(cells))
+    engine = PatchEngine(StructuredGrid(cells), 0.3)
     n_elem = engine.grid.elements.shape[0]
     coeff = np.ones(n_elem)
     if sign == "indefinite":
         coeff[: n_elem // 2] = -1.0
     else:
         coeff[:] = 0.0
-    for op in (engine.diffusion, engine.elasticity(0.3)):
+    for op in (engine.diffusion, engine.elasticity):
         with pytest.raises(NumericError):
             op.solve(coeff)
 
 
 def test_band_solve_rejects_non_finite_residual():
-    engine = PatchEngine(StructuredGrid((4, 4)))
+    engine = PatchEngine(StructuredGrid((4, 4)), 0.3)
     op = engine.diffusion
     op.data = np.full_like(op.data, np.nan)
     with pytest.raises(NumericError):
@@ -356,7 +359,7 @@ def test_band_solve_rejects_non_finite_residual():
 @pytest.mark.parametrize("cells", [(1, 1), (4, 4), (2, 3, 2)])
 def test_band_layout(cells):
     grid = StructuredGrid(cells)
-    op = PatchEngine(grid).diffusion
+    op = PatchEngine(grid, 0.3).diffusion
     # at a constant coefficient the solutions are the affine boundary data
     x, _ = op.solve(np.ones(grid.elements.shape[0]))
     assert np.allclose(x, grid.node_coords, atol=1e-12)
@@ -383,16 +386,16 @@ def test_band_layout(cells):
 def test_solve_returns_matrix_times_solution(cells):
     # the second value of solve is A(c) x, with A(c) the assembled operator
     grid = StructuredGrid(cells)
-    engine = PatchEngine(grid)
-    coeff = np.exp(np.random.default_rng(47).normal(size=grid.elements.shape[0]))
     eta = 0.3
+    engine = PatchEngine(grid, eta)
+    coeff = np.exp(np.random.default_rng(47).normal(size=grid.elements.shape[0]))
     cases = [
         (
             engine.diffusion,
             engine.assemble_diffusion(coeff[:, None, None] * np.eye(grid.dimension)),
         ),
         (
-            engine.elasticity(eta),
+            engine.elasticity,
             engine.assemble_elasticity(
                 coeff[:, None, None] * isotropic_stiffness(1.0, eta, grid.dimension)
             ),

@@ -292,7 +292,6 @@ def test_fine_solver_rejects_nan_field(field, name):
 
 def test_coarse_solver_rejects_nan_cell_permeability():
     eff = EffectiveTensors(
-        coarse_cells=(2, 2),
         perm=np.broadcast_to(np.eye(2), (4, 2, 2)).copy(),
         stiffness=np.broadcast_to(isotropic_stiffness(1.0, 0.25, 2), (4, 3, 3)).copy(),
     )
@@ -303,12 +302,10 @@ def test_coarse_solver_rejects_nan_cell_permeability():
 
 def test_coarse_solver_validates_tensors():
     eff = EffectiveTensors(
-        coarse_cells=(2, 2),
         perm=np.broadcast_to(np.eye(2), (4, 2, 2)).copy(),
         stiffness=np.broadcast_to(isotropic_stiffness(1.0, 0.25, 2), (4, 3, 3)).copy(),
     )
     bad = EffectiveTensors(
-        coarse_cells=(2, 2),
         perm=eff.perm.copy(),
         stiffness=eff.stiffness.copy(),
     )

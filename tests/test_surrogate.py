@@ -11,26 +11,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from poroscale.arrayio import read_array, write_array
 from poroscale.dataset import TARGET_PERMEABILITY, Dataset, Scaler
 from poroscale.errors import FormatError, NumericError, ParameterError
-from poroscale.surrogate import (
-    Adam,
+from poroscale.surrogate.layers import (
     Conv,
     Dense,
     Dropout,
     Flatten,
     MaxPool,
-    Network,
     ReLU,
-    TrainConfig,
-    build_network,
-    clamp_spd,
-    compute_metrics,
-    evaluate,
-    load_network,
-    predict_effective,
-    save_network,
-    train,
+    he_uniform,
 )
-from poroscale.surrogate.layers import he_uniform
 from poroscale.surrogate.network import (
     ADAM_BETA1,
     ADAM_BLOCK,
@@ -40,9 +29,22 @@ from poroscale.surrogate.network import (
     FILTERS_3D,
     HIDDEN_WIDTH,
     INFERENCE_CHUNK,
+    Adam,
+    Network,
+    build_network,
+    load_network,
     pooled_extent,
+    save_network,
 )
-from poroscale.surrogate.training import SPD_FLOOR
+from poroscale.surrogate.training import (
+    SPD_FLOOR,
+    TrainConfig,
+    clamp_spd,
+    compute_metrics,
+    evaluate,
+    predict_effective,
+    train,
+)
 
 
 def naive_conv(x, weight, bias):
@@ -738,7 +740,6 @@ def synthetic_dataset(n=80, patch=8, seed=21):
     return Dataset(
         dimension=2,
         patch_size=patch,
-        target=TARGET_PERMEABILITY,
         X=X,
         Y=Y,
         realization=np.zeros(n, dtype=np.int64),
@@ -841,7 +842,6 @@ def test_evaluate_reports_descaled_units():
     ds = Dataset(
         dimension=ds.dimension,
         patch_size=ds.patch_size,
-        target=ds.target,
         X=ds.X,
         Y=ds.Y,
         realization=ds.realization,
