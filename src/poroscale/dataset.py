@@ -1,10 +1,18 @@
 """Patch-to-tensor learning datasets: construction, scaling, splitting, files.
 
-A sample pairs one coarse cell's property patch (permeability values for
-the permeability target, Young's modulus values for the elasticity target)
-with the upper triangle of that cell's effective tensor. Patches drop the
-duplicated far-edge node slice, so inputs are N_l^d arrays where N_l is
-the fine-per-coarse cell ratio.
+A sample pairs one coarse cell's patch of a property field with the m(m+1)/2
+upper-triangle entries of that cell's effective m x m tensor. ``TARGETS`` is
+the one table of each target's :class:`PropertyFields` field, its
+:class:`EffectiveTensors` tensor, the kind of its tensor files
+(``real_<l>_<kind>.nhar``), its :class:`PatchEngine` operator and m in d
+dimensions; no other module branches on a target:
+
+    target        field  tensor     kind   operator    m
+    permeability  perm   perm       perm   diffusion   d
+    elasticity    young  stiffness  stiff  elasticity  d(d+1)/2
+
+Patches drop the duplicated far-edge node slice, so inputs are N_l^d arrays
+where N_l is the fine-per-coarse cell ratio.
 
 Inputs are min-max scaled with one global (dataset-wide) range; each output
 component is min-max scaled separately. Scaling happens before splitting.
@@ -21,6 +29,7 @@ A dataset is stored as a directory of NHAR array files
 """
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +37,7 @@ import numpy as np
 from .arrayio import read_member, write_members
 from .elasticity import n_strain_components, upper_triangle
 from .errors import FormatError, ParameterError
-from .homogenize import cell_windows, patch_ratio
+from .homogenize import cell_windows
 
 logger = logging.getLogger(__name__)
 
@@ -36,14 +45,21 @@ TARGET_PERMEABILITY = "permeability"
 TARGET_ELASTICITY = "elasticity"
 
 
+Target = namedtuple("Target", "field tensor kind operator size")
+TARGETS = {
+    TARGET_PERMEABILITY: Target("perm", "perm", "perm", "diffusion", lambda d: d),
+    TARGET_ELASTICITY: Target(
+        "young", "stiffness", "stiff", "elasticity", n_strain_components
+    ),
+}
+
+
 def target_components(target, d):
     """Flattened output length N_out for a prediction target."""
-    if target == TARGET_PERMEABILITY:
-        return d * (d + 1) // 2
-    if target == TARGET_ELASTICITY:
-        m = n_strain_components(d)
-        return m * (m + 1) // 2
-    raise ParameterError(f"unknown target {target!r}")
+    if target not in TARGETS:
+        raise ParameterError(f"unknown target {target!r}")
+    m = TARGETS[target].size(d)
+    return m * (m + 1) // 2
 
 
 @dataclass
@@ -118,8 +134,6 @@ class Dataset:
     ``X`` is (L, N_l, ...) with d spatial axes; ``Y`` is (L, N_out).
     """
 
-    dimension: int
-    patch_size: int
     X: np.ndarray
     Y: np.ndarray
     realization: np.ndarray
@@ -130,19 +144,20 @@ class Dataset:
         return self.X.shape[0]
 
     @property
+    def dimension(self):
+        return self.X.ndim - 1
+
+    @property
+    def patch_size(self):
+        return self.X.shape[1]
+
+    @property
     def n_out(self):
         return self.Y.shape[1]
 
     def subset(self, indices):
-        return Dataset(
-            dimension=self.dimension,
-            patch_size=self.patch_size,
-            X=self.X[indices],
-            Y=self.Y[indices],
-            realization=self.realization[indices],
-            cell=self.cell[indices],
-            scaler=self.scaler,
-        )
+        picked = (a[indices] for a in (self.X, self.Y, self.realization, self.cell))
+        return Dataset(*picked, self.scaler)
 
 
 def patch_input_array(fine_grid, coarse_cells, values):
@@ -169,24 +184,16 @@ def build_dataset(fine_grid, coarse_cells, realizations, tensors, target):
         raise ParameterError("at least one realization is required")
     if len(realizations) != len(tensors):
         raise ParameterError("realization and tensor counts differ")
-    d = fine_grid.dimension
-    n_l = patch_ratio(fine_grid, coarse_cells)
-    target_components(target, d)  # rejects an unknown target
+    target_components(target, fine_grid.dimension)  # rejects an unknown target
     n_cells = int(np.prod(coarse_cells))
-    if any(eff.perm.shape[0] != n_cells for eff in tensors):
+    if any(eff.n_cells != n_cells for eff in tensors):
         raise ParameterError(f"every realization needs {n_cells} cell tensors")
 
-    permeability = target == TARGET_PERMEABILITY
-    values = [f.perm if permeability else f.young for f in realizations]
+    spec = TARGETS[target]
+    values = [getattr(f, spec.field) for f in realizations]
     X = np.concatenate([patch_input_array(fine_grid, coarse_cells, v) for v in values])
-    per_cell = [eff.perm if permeability else eff.stiffness for eff in tensors]
-    Y = upper_triangle(np.concatenate(per_cell))
-    scaler = Scaler(
-        input_min=float(X.min()),
-        input_max=float(X.max()),
-        output_min=Y.min(axis=0),
-        output_max=Y.max(axis=0),
-    )
+    Y = upper_triangle(np.concatenate([getattr(eff, spec.tensor) for eff in tensors]))
+    scaler = Scaler(float(X.min()), float(X.max()), Y.min(axis=0), Y.max(axis=0))
     if scaler.input_degenerate:
         logger.warning("input range is degenerate; inputs scaled to 0")
     if np.any(scaler.output_degenerate):
@@ -196,8 +203,6 @@ def build_dataset(fine_grid, coarse_cells, realizations, tensors, target):
         )
     n_real = len(realizations)
     return Dataset(
-        dimension=d,
-        patch_size=n_l,
         X=scaler.scale_input(X),
         Y=scaler.scale_output(Y),
         realization=np.repeat(np.arange(n_real, dtype=np.int64), n_cells),
@@ -271,15 +276,7 @@ def load_dataset(path):
     ):
         if values.shape != shape:
             raise _bad_member(path, name, values.shape, f"{shape} ({source})")
-    targets = (TARGET_PERMEABILITY, TARGET_ELASTICITY)
-    if n_out not in [target_components(t, d) for t in targets]:
+    if n_out not in [target_components(t, d) for t in TARGETS]:
         raise FormatError(f"{path}: no target has {n_out} components in {d}D")
-    return Dataset(
-        dimension=d,
-        patch_size=X.shape[1],
-        X=X,
-        Y=Y,
-        realization=ids[:, 0].astype(np.int64),
-        cell=ids[:, 1].astype(np.int64),
-        scaler=scaler,
-    )
+    realization, cell = ids.T.astype(np.int64, order="C")
+    return Dataset(X, Y, realization, cell, scaler)

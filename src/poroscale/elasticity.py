@@ -16,6 +16,8 @@ vector ``e_m = (e11, e22, sqrt(2) e12)`` (tensorial shear, e12 = (du1/dx2 +
 du2/dx1)/2), and assembly uses the same weighting throughout.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ParameterError
@@ -80,9 +82,13 @@ def upper_triangle(matrix):
     return matrix[..., iu[0], iu[1]]
 
 
-def from_upper_triangle(values, m):
-    """Inverse of :func:`upper_triangle`."""
+def from_upper_triangle(values):
+    """Inverse of :func:`upper_triangle`; the last axis holds m(m+1)/2 values."""
     values = np.asarray(values, dtype=float)
+    width = values.shape[-1]
+    m = math.isqrt(2 * width)
+    if m * (m + 1) // 2 != width:
+        raise ParameterError(f"{width} values are not the upper triangle of a matrix")
     out = np.zeros(values.shape[:-1] + (m, m))
     iu = np.triu_indices(m)
     out[..., iu[0], iu[1]] = values

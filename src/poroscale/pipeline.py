@@ -40,16 +40,15 @@ import numpy as np
 
 from .arrayio import read_array, write_array, write_text
 from .dataset import (
-    TARGET_ELASTICITY,
-    TARGET_PERMEABILITY,
+    TARGETS,
     build_dataset,
     load_dataset,
     load_scaler,
     patch_input_array,
     save_dataset,
     split,
+    target_components,
 )
-from .elasticity import n_strain_components
 from .errors import ParameterError, PipelineError
 from .grid import StructuredGrid
 from .homogenize import (
@@ -63,8 +62,6 @@ from .poro import PoroState, error_norms, solve_coarse, solve_poroelasticity
 from .random_field import PropertyFields, build_kl_basis, field_to_properties, sample_field
 from .surrogate.network import build_network, load_network, save_network
 from .surrogate.training import evaluate, predict_effective, train
-
-TARGETS = (TARGET_PERMEABILITY, TARGET_ELASTICITY)
 
 DIRECT = "direct"
 PREDICTED = "predicted"
@@ -191,14 +188,12 @@ def load_fields(layout, config, index):
 
 def load_tensors(layout, config, index, source=DIRECT):
     command = "homogenize" if source == DIRECT else "predict"
-    d = len(config.coarse_cells)
-    perm, stiffness = (
-        _read_stored(
-            layout.tensor_path(index, kind, source), (config.n_cells, k, k), command
-        )
-        for kind, k in (("perm", d), ("stiff", n_strain_components(d)))
-    )
-    return EffectiveTensors(perm=perm, stiffness=stiffness)
+    tensors = {}
+    for spec in TARGETS.values():
+        m = spec.size(config.dimension)
+        path = layout.tensor_path(index, spec.kind, source)
+        tensors[spec.tensor] = _read_stored(path, (config.n_cells, m, m), command)
+    return EffectiveTensors(**tensors)
 
 
 def generate_fields_stage(config, layout):
@@ -228,10 +223,7 @@ def homogenize_stage(config, layout):
         with record.span("engine_setup"):
             patches = patch_grid(grid, config.coarse_cells)
             engine = PatchEngine(patches, config.props.eta)
-            operators = {
-                TARGET_PERMEABILITY: engine.diffusion,
-                TARGET_ELASTICITY: engine.elasticity,
-            }
+            operators = {t: getattr(engine, s.operator) for t, s in TARGETS.items()}
         n_solves = len(all_indices(config)) * config.n_cells
         for target, operator in operators.items():
             # stored band entries, summed over all cell problems
@@ -243,8 +235,9 @@ def homogenize_stage(config, layout):
                 eff = homogenize_domain(
                     grid, config.coarse_cells, fields, config.threads, engine=engine
                 )
-            write_array(layout.tensor_path(index, "perm"), eff.perm)
-            write_array(layout.tensor_path(index, "stiff"), eff.stiffness)
+            for spec in TARGETS.values():
+                path = layout.tensor_path(index, spec.kind)
+                write_array(path, getattr(eff, spec.tensor))
     return record
 
 
@@ -295,28 +288,46 @@ def train_stage(config, layout):
 
 def _metrics_rows(metrics):
     rows = [("all", metrics.mse, metrics.mae_pct, metrics.rmse_pct)]
-    for j in range(metrics.component_mse.size):
-        rows.append(
-            (
-                str(j),
-                float(metrics.component_mse[j]),
-                float(metrics.component_mae_pct[j]),
-                float(metrics.component_rmse_pct[j]),
+    components = zip(
+        metrics.component_mse, metrics.component_mae_pct, metrics.component_rmse_pct
+    )
+    return rows + [(str(j), *map(float, c)) for j, c in enumerate(components)]
+
+
+def load_models(layout, config):
+    """Each target's trained network and the scaler of its training data.
+
+    A network whose (dimension, patch size, output count) is not what the
+    configured grids and its target need is an error.
+    """
+    d = config.dimension
+    n_l = patch_ratio(StructuredGrid(config.fine_cells), config.coarse_cells)
+    networks, scalers = {}, {}
+    for target in TARGETS:
+        path = layout.model_path(target)
+        _require(path, "train")
+        _require(layout.dataset_path(target), "build-dataset")
+        network = networks[target] = load_network(path)
+        expected = (d, n_l, target_components(target, d))
+        if network.architecture[:3] != expected:
+            raise PipelineError(
+                f"{path} was trained on (dimension, patch size, outputs) "
+                f"{network.architecture[:3]}, the configured grids and target "
+                f"need {expected}; run `poroscale build-dataset`, then "
+                "`poroscale train` again"
             )
-        )
-    return rows
+        scalers[target] = load_scaler(layout.dataset_path(target))
+    return networks, scalers
 
 
 def evaluate_stage(config, layout):
     """Per-split metrics of the trained networks as CSV; test metrics per target."""
     with _stage(layout, "evaluate") as record:
-        for target in TARGETS:
+        networks, _ = load_models(layout, config)
+        for target, network in networks.items():
             with record.span("per_target", target):
-                _require(layout.dataset_path(target), "build-dataset")
-                _require(layout.model_path(target), "train")
                 ds = load_dataset(layout.dataset_path(target))
                 parts = split(ds, config.split)
-                network = load_network(layout.model_path(target))
                 lines = ["split,component,mse,mae_pct,rmse_pct\n"]
                 for name in ("train", "val", "test"):
                     metrics = evaluate(network, parts[name])
@@ -342,13 +353,10 @@ def predict_tensors(networks, scalers, grid, coarse_cells, fields):
     """
     outputs, clamped = {}, {}
     for target, network in networks.items():
-        values = fields.perm if target == TARGET_PERMEABILITY else fields.young
-        scaled = scalers[target].scale_input(
-            patch_input_array(grid, coarse_cells, values)
-        )
-        outputs[target], clamped[target] = predict_effective(
-            network, scaled, scalers[target], target, grid.dimension
-        )
+        values = getattr(fields, TARGETS[target].field)
+        scaler = scalers[target]
+        scaled = scaler.scale_input(patch_input_array(grid, coarse_cells, values))
+        outputs[target], clamped[target] = predict_effective(network, scaled, scaler)
     return outputs, clamped
 
 
@@ -356,22 +364,8 @@ def predict_stage(config, layout):
     """Replace local solves by network prediction on held-out domains."""
     with _stage(layout, "predict") as record:
         grid = StructuredGrid(config.fine_cells)
-        patches = (config.dimension, patch_ratio(grid, config.coarse_cells))
-        networks, scalers = {}, {}
         with record.span("online_load"):
-            for target in TARGETS:
-                path = layout.model_path(target)
-                _require(path, "train")
-                _require(layout.dataset_path(target), "build-dataset")
-                network = networks[target] = load_network(path)
-                if network.architecture[:2] != patches:
-                    raise PipelineError(
-                        f"{path} was trained on (dimension, patch size) "
-                        f"{network.architecture[:2]}, the configured grids need "
-                        f"{patches}; run `poroscale build-dataset`, then "
-                        "`poroscale train` again"
-                    )
-                scalers[target] = load_scaler(layout.dataset_path(target))
+            networks, scalers = load_models(layout, config)
         record["spd_clamped"] = dict.fromkeys(TARGETS, 0)
         for index in held_out_indices(config):
             fields = load_fields(layout, config, index)
@@ -381,8 +375,9 @@ def predict_stage(config, layout):
                 )
             for target, count in clamped.items():
                 record["spd_clamped"][target] += count
-            for kind, target in zip(("perm", "stiff"), TARGETS):
-                write_array(layout.tensor_path(index, kind, PREDICTED), outputs[target])
+            for target, spec in TARGETS.items():
+                path = layout.tensor_path(index, spec.kind, PREDICTED)
+                write_array(path, outputs[target])
     return record
 
 

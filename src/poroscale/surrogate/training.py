@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import TARGET_PERMEABILITY
-from ..elasticity import from_upper_triangle, n_strain_components
+from ..elasticity import from_upper_triangle
 from ..errors import NumericError, ParameterError
 from .network import DEFAULT_DROPOUT, Adam
 
@@ -156,24 +155,23 @@ def clamp_spd(matrices):
     return fixed, int(needs.any(axis=-1).sum())
 
 
-def predict_effective(network, x_scaled, scaler, target, dim):
+def predict_effective(network, x_scaled, scaler):
     """Decode network outputs into symmetric positive definite tensors.
 
-    ``x_scaled`` is (n, N_l, ...) in scaled units. Returns the tensors,
-    (n, d, d) for the permeability target and (n, m, m) for the elasticity
-    target, eigenvalue-clamped when a prediction drifts out of the SPD
-    cone, and the number of them that were clamped.
+    ``x_scaled`` is (n, N_l, ...) in scaled units. Each row of N_out outputs
+    is the upper triangle of one m x m tensor, N_out = m(m+1)/2, so the
+    width alone gives m: (n, d, d) permeability or (n, m, m) stiffness
+    tensors. Returns the tensors, eigenvalue-clamped when a prediction
+    drifts out of the SPD cone, and the number of them that were clamped.
     """
     x_scaled = np.asarray(x_scaled, dtype=float)
     rows = scaler.unscale_output(network.predict(x_scaled[:, None, ...]))
-    size = dim if target == TARGET_PERMEABILITY else n_strain_components(dim)
-    mats = from_upper_triangle(rows, size)
+    mats = from_upper_triangle(rows)
     fixed, n_clamped = clamp_spd(mats)
     if n_clamped:
         logger.warning(
-            "%d of %d predicted %s tensors were clamped to the SPD cone",
+            "%d of %d predicted %d x %d tensors were clamped to the SPD cone",
             n_clamped,
-            mats.shape[0],
-            target,
+            *mats.shape,
         )
     return fixed, n_clamped

@@ -311,19 +311,47 @@ def test_states_of_another_grid_are_an_error(capsys, tmp_path):
     assert "`poroscale solve-fine`" in err
 
 
-def test_models_of_another_patch_size_are_an_error(capsys, tmp_path):
+def train_desk_mini(tmp_path):
     argv = ["--preset", "desk-mini", "--workdir", str(tmp_path)]
     for stage in (["generate-fields"], ["homogenize"], ["build-dataset"], ["train"]):
         assert main(stage + argv) == 0, stage
-    argv = fine_64_config(tmp_path)
-    assert main(["generate-fields"] + argv) == 0
+    return argv
+
+
+def assert_models_refused(capsys, argv, layout, found, needed):
+    """``evaluate`` and ``predict`` both fail and write nothing."""
     capsys.readouterr()
-    assert main(["predict"] + argv) == 1
-    err = capsys.readouterr().err
-    assert "poroscale predict: error:" in err
-    assert "(2, 8)" in err and "(2, 16)" in err
-    assert "`poroscale build-dataset`, then `poroscale train`" in err
-    assert not RunLayout(tmp_path).tensor_path(2, "perm", "predicted").exists()
+    for stage in ("evaluate", "predict"):
+        assert main([stage] + argv) == 1, stage
+        err = capsys.readouterr().err
+        assert f"poroscale {stage}: error:" in err
+        assert found in err and needed in err
+        assert "`poroscale build-dataset`, then `poroscale train`" in err
+    assert not (layout.root / "metrics").exists()
+    assert not layout.tensor_path(2, "perm", "predicted").exists()
+
+
+def test_models_of_another_patch_size_are_an_error(capsys, tmp_path):
+    train_desk_mini(tmp_path)
+    argv = fine_64_config(tmp_path)
+    layout = RunLayout(tmp_path)
+    assert main(["generate-fields"] + argv) == 0
+    assert_models_refused(capsys, argv, layout, "(2, 8, 3)", "(2, 16, 3)")
+    # a 16^2 dataset does not make the 8^2 models fit
+    for stage in (["homogenize"], ["build-dataset"]):
+        assert main(stage + argv) == 0, stage
+    assert_models_refused(capsys, argv, layout, "(2, 8, 3)", "(2, 16, 3)")
+
+
+def test_models_of_another_target_are_an_error(capsys, tmp_path):
+    argv = train_desk_mini(tmp_path)
+    layout = RunLayout(tmp_path)
+    perm, elast = layout.model_path("permeability"), layout.model_path("elasticity")
+    perm.rename(tmp_path / "swap")
+    elast.rename(perm)
+    (tmp_path / "swap").rename(elast)
+    # the permeability directory now holds a model of 6 outputs, not 3
+    assert_models_refused(capsys, argv, layout, "(2, 8, 6)", "(2, 8, 3)")
 
 
 def test_mini_pipeline_end_to_end(capsys, tmp_path):

@@ -33,8 +33,6 @@ def small_dataset(n=10, n_l=4, d=2, n_out=3, seed=0):
         output_max=np.ones(n_out),
     )
     return Dataset(
-        dimension=d,
-        patch_size=n_l,
         X=rng.random(size=(n,) + (n_l,) * d),
         Y=rng.random(size=(n, n_out)),
         realization=np.arange(n) // 4,

@@ -9,7 +9,15 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from poroscale.arrayio import read_array, write_array
-from poroscale.dataset import TARGET_PERMEABILITY, Dataset, Scaler
+from poroscale.dataset import (
+    TARGET_ELASTICITY,
+    TARGET_PERMEABILITY,
+    TARGETS,
+    Dataset,
+    Scaler,
+    target_components,
+)
+from poroscale.elasticity import from_upper_triangle
 from poroscale.errors import FormatError, NumericError, ParameterError
 from poroscale.surrogate.layers import (
     Conv,
@@ -738,8 +746,6 @@ def synthetic_dataset(n=80, patch=8, seed=21):
         axis=1,
     )
     return Dataset(
-        dimension=2,
-        patch_size=patch,
         X=X,
         Y=Y,
         realization=np.zeros(n, dtype=np.int64),
@@ -840,8 +846,6 @@ def test_evaluate_reports_descaled_units():
     ds = synthetic_dataset(n=10)
     # stretch the scaler so scaled and raw units differ
     ds = Dataset(
-        dimension=ds.dimension,
-        patch_size=ds.patch_size,
         X=ds.X,
         Y=ds.Y,
         realization=ds.realization,
@@ -893,19 +897,31 @@ def constant_output_network(rows):
     return net, scaler
 
 
-def test_predict_effective_decodes_symmetric_tensors():
-    net, scaler = constant_output_network([2.0, 0.5, 3.0])
+# output widths 3 and 6 in 2D, 6 and 21 in 3D
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("target", [TARGET_PERMEABILITY, TARGET_ELASTICITY])
+def test_predict_effective_decodes_symmetric_tensors(target, d):
+    m = TARGETS[target].size(d)
+    assert target_components(target, d) == m * (m + 1) // 2
+    # diagonally dominant, so no clamp changes it
+    want = 0.1 * np.add.outer(np.arange(m), np.arange(m)) + m * np.eye(m)
+    net, scaler = constant_output_network(want[np.triu_indices(m)])
     x = np.random.default_rng(29).random(size=(5, 4, 4))
-    tensors, clamped = predict_effective(net, x, scaler, TARGET_PERMEABILITY, 2)
-    assert tensors.shape == (5, 2, 2) and clamped == 0
-    np.testing.assert_allclose(tensors, [[[2.0, 0.5], [0.5, 3.0]]] * 5, atol=1e-12)
+    tensors, clamped = predict_effective(net, x, scaler)
+    assert tensors.shape == (5, m, m) and clamped == 0
+    np.testing.assert_allclose(tensors, [want] * 5, atol=1e-12)
+
+
+def test_from_upper_triangle_rejects_a_width_of_no_triangle():
+    with pytest.raises(ParameterError):
+        from_upper_triangle(np.ones((5, 4)))
 
 
 def test_predict_effective_clamps_and_logs(caplog):
     net, scaler = constant_output_network([-1.0, 0.0, 0.5])
     x = np.random.default_rng(30).random(size=(3, 4, 4))
     with caplog.at_level("WARNING"):
-        tensors, clamped = predict_effective(net, x, scaler, TARGET_PERMEABILITY, 2)
+        tensors, clamped = predict_effective(net, x, scaler)
     assert "clamped" in caplog.text and clamped == 3
     vals = np.linalg.eigvalsh(tensors)
     assert vals.min() >= SPD_FLOOR * (1 - 1e-9)
