@@ -6,12 +6,12 @@ across the mesh. Bilinear forms use exact integration of piecewise-linear
 data (coefficients are taken elementwise constant, nodal inputs reduced to
 vertex means).
 
-Assembly is one element scatter. The scalar CSR pattern of the grid, with
-the slot of every entry of every element matrix, is built once per grid
-(:attr:`~poroscale.grid.StructuredGrid.node_pattern`); the slots of vector
-and coupling matrices, whose entries are node blocks, follow from it by
-arithmetic. Each class adds its element matrices, in blocks of ``_BLOCK``
-elements, into one values array, so no temporary grows with the grid. An
+Assembly is one stencil product. The elements of a class are translates,
+so the node blocks of a matrix are ``Z @ M``: ``Z`` holds each element's
+coefficient at each of its vertices and ``M`` the reference blocks of
+each class by neighbour offset (7 offsets in 2D, 15 in 3D); per-element
+tensors enter ``Z`` as d^2 or m^2 components. The blocks at offsets inside
+the grid are the values of a BSR matrix on the grid's node pattern. An
 isotropic stiffness is its unit-modulus matrix times Young's modulus.
 
 Degree-of-freedom layout:
@@ -40,9 +40,6 @@ from scipy.sparse.linalg import splu
 from .elasticity import SQRT2, n_strain_components, strain_component_pairs
 from .errors import NumericError, ParameterError
 
-# elements per scatter block, which bounds the scratch of an assembly; a
-# class of a 16^3 patch fits in one block, so each of its entries is one sum
-_BLOCK = 4096
 # relative residual every linear solve must reach
 SOLVE_TOL = 1e-8
 
@@ -64,9 +61,7 @@ class P1Space:
         Row i holds grad(phi_i) of the basis function attached to local
         vertex i of the representative element.
         """
-        grid = self.grid
-        # interleaved element order puts one element of each class first
-        coords = grid.node_coords[grid.elements[: grid.n_classes]]
+        coords = self.grid.class_offsets * self.grid.spacing
         vand = np.concatenate([np.ones(coords.shape[:2] + (1,)), coords], axis=2)
         return np.linalg.inv(vand)[:, 1:, :].transpose(0, 2, 1)
 
@@ -117,8 +112,7 @@ class P1Space:
         d = self.d
         base = self.grid.element_volume / ((d + 1) * (d + 2)) * (np.eye(d + 1) + 1.0)
         reference = np.broadcast_to(base, (self.grid.n_classes,) + base.shape)
-        ce = self.element_values(coeff)
-        return self._assemble((1, 1), self._scaled(reference, ce))
+        return self._assemble(reference[..., None], self.element_values(coeff)[:, None])
 
     def assemble_diffusion(self, k):
         """Stiffness matrix of the form integral(grad q . k grad p).
@@ -133,11 +127,11 @@ class P1Space:
                 raise ParameterError(
                     f"tensor coefficient must have shape (n_elem, {d}, {d})"
                 )
-            return self._form((1, 1), self.class_gradients, k, self.element_values(1.0))
+            return self._form(self.class_gradients, k, self.element_values(1.0))
         k = self.element_values(k)
         if not np.all(k > 0.0):
             raise ParameterError("diffusion coefficient must be positive")
-        return self._form((1, 1), self.class_gradients, np.eye(d), k)
+        return self._form(self.class_gradients, np.eye(d), k)
 
     def assemble_elasticity(self, C, coeff=1.0):
         """Vector stiffness matrix of integral(c * eps(v) . C eps(u)).
@@ -155,7 +149,7 @@ class P1Space:
                 f"stiffness must have shape ({m}, {m}) or (n_elem, {m}, {m})"
             )
         strain = self.class_strain.transpose(0, 2, 1)
-        return self._form((self.d,) * 2, strain, C, self.element_values(coeff))
+        return self._form(strain, C, self.element_values(coeff))
 
     def assemble_coupling(self, coeff=1.0):
         """Pressure-displacement coupling blocks.
@@ -167,76 +161,83 @@ class P1Space:
         adjoints of each other.
         """
         d = self.d
-        ce = self.element_values(coeff)
+        ce = self.element_values(coeff)[:, None]
         # integral over one element of phi_i * d(phi_j)/dx_c = vol/(d+1) * G[j,c]
         G = self.grid.element_volume / (d + 1) * self.class_gradients
         div_ref = np.repeat(G.reshape(G.shape[0], 1, -1), d + 1, axis=1)
         grad_ref = np.tile(G.transpose(0, 2, 1), (1, d + 1, 1))
         return (
-            self._assemble((1, d), self._scaled(div_ref, ce)),
-            self._assemble((d, 1), self._scaled(grad_ref, ce)),
+            self._assemble(div_ref[..., None], ce),
+            self._assemble(grad_ref[..., None], ce),
         )
 
-    def _form(self, dofs, G, T, ce):
+    def _form(self, G, T, ce):
         """Matrix of the element matrices vol * ce[e] * G T G^T, with ``G``
         (n_class, n_local, r) and ``T`` one (r, r) tensor or one per element."""
         vol = self.grid.element_volume
         if T.ndim == 2:
             reference = vol * np.einsum("tia,ab,tjb->tij", G, T, G)
-            return self._assemble(dofs, self._scaled(reference, ce))
-
-        def local(t, sl):
-            K = vol * np.einsum("ia,eab,jb->eij", G[t], T[sl], G[t])
-            return ce[sl, None, None] * K
-
-        return self._assemble(dofs, local)
+            return self._assemble(reference[..., None], ce[:, None])
+        reference = vol * np.einsum("tia,tjb->tijab", G, G)
+        coeff = ce[:, None] * T.reshape(T.shape[0], -1)
+        return self._assemble(reference.reshape(reference.shape[:3] + (-1,)), coeff)
 
     # ------------------------------------------------------------------
-    # the element scatter
+    # the stencil product
 
-    @staticmethod
-    def _scaled(reference, ce):
-        """Element matrices ``ce[e] * reference[class(e)]`` for :meth:`_scatter`."""
-        return lambda t, sl: ce[sl, None, None] * reference[t]
+    def stencil_matrix(self, reference):
+        """Reference blocks by neighbour offset, (k (d+1) n_c, n_off, R, C).
 
-    def _blocks(self, dofs):
-        """Element blocks of the scatter into the values of the BSR matrix of
-        R x C node blocks, ``dofs = (R, C)``, on the grid's node pattern.
-
-        Yields ``(t, sl, low, at)``: a slice ``sl`` of at most ``_BLOCK``
-        elements of class ``t``, and the value positions ``low + at`` of
-        their element matrices, with ``at`` of shape (n, (d+1)R, (d+1)C).
+        ``reference[t, (i, p), (j, q), c]`` is entry (p, q) of node block
+        (i, j) of the element matrix of class t, per unit of coefficient
+        component c. Row (t, i, c) holds block (i, j) at the grid stencil
+        offset from vertex i to vertex j (the vertices of one element have
+        distinct offsets); the product with :meth:`_shifted` sums the rows.
         """
-        R, C = dofs
-        slots = self.grid.node_pattern[2]
-        k = self.grid.n_classes
-        # entry (p, q) of node block s sits at R*C*s + C*p + q
-        within = C * np.arange(R)[:, None, None] + np.arange(C)
-        for t in range(k):
-            for start in range(0, slots.shape[1], _BLOCK):
-                s = slots[t, start : start + _BLOCK, :, None, :, None]
-                at = np.int64(R * C) * s + within
-                low = at.min()
-                at -= low
-                sl = slice(t + k * start, t + k * (start + _BLOCK), k)
-                yield t, sl, low, at.reshape(at.shape[0], at.shape[1] * R, -1)
+        grid, n = self.grid, self.d + 1
+        k, R, C = grid.n_classes, reference.shape[1] // n, reference.shape[2] // n
+        offsets, strides = grid.stencil, grid.node_strides
+        steps = grid.class_offsets @ strides
+        # column of block (i, j) of class t: the offset from vertex i to j
+        at = np.searchsorted(offsets @ strides, steps[:, None] - steps[..., None])
+        blocks = reference.reshape(k, n, R, n, C, -1)
+        M = np.zeros((k, n, blocks.shape[-1], offsets.shape[0], R, C))
+        t, i = np.indices((k, n))
+        M[t[..., None], i[..., None], :, at] = blocks.transpose(0, 1, 3, 5, 2, 4)
+        return M.reshape((-1,) + M.shape[3:])
 
-    @staticmethod
-    def _scatter(blocks, local, size):
-        """``size`` values summed from the matrices ``local(t, sl)`` of the
-        :meth:`_blocks`, each block into the range of values it touches."""
-        values = np.zeros(size)
-        for t, sl, low, at in blocks:
-            part = np.bincount(at.ravel(), local(t, sl).ravel())
-            values[low : low + part.size] += part
-        return values
+    def _shifted(self, coeff):
+        """Element coefficients at their vertices, (n_nodes, k (d+1) n_c).
 
-    def _assemble(self, dofs, local):
+        Entry (a, (t, i, c)) is component c of ``coeff`` (n_elem, n_c) on
+        the element of class t whose vertex i is node a, or 0 where that
+        element would lie off the grid.
+        """
+        grid, cells = self.grid, self.grid.cells_per_axis
+        coeff = coeff.reshape(cells + (grid.n_classes, -1))
+        padded = np.zeros(tuple(n + 2 for n in cells) + coeff.shape[-2:])
+        padded[tuple(slice(1, n + 1) for n in cells)] = coeff
+        # node a is vertex i of the element of class t in cell a - v, v its offset
+        Z = [
+            padded[tuple(slice(1 - o, 2 - o + n) for o, n in zip(v, cells))][..., t, :]
+            for t, vertices in enumerate(grid.class_offsets)
+            for v in vertices
+        ]
+        return np.stack(Z, axis=-2).reshape(grid.n_nodes, -1)
+
+    def node_blocks(self, stencil, coeff):
+        """Node blocks (nnz, R, C) of the matrix with element coefficients
+        ``coeff``, in the order of the grid's node pattern: the stencil
+        product ``_shifted(coeff) @ stencil`` at the offsets inside the grid."""
+        values = self._shifted(coeff) @ stencil.reshape(stencil.shape[0], -1)
+        values = values.reshape((-1,) + stencil.shape[2:])
+        return np.take(values, self.grid.node_pattern[2], axis=0)
+
+    def _assemble(self, reference, coeff):
+        blocks = self.node_blocks(self.stencil_matrix(reference), coeff)
+        shape = tuple(n * self.grid.n_nodes for n in blocks.shape[1:])
         indptr, indices, _ = self.grid.node_pattern
-        values = self._scatter(self._blocks(dofs), local, np.prod(dofs) * indices.size)
-        shape = tuple(n * self.grid.n_nodes for n in dofs)
-        blocks = (values.reshape(-1, *dofs), indices, indptr)
-        return sparse.bsr_matrix(blocks, shape=shape).tocsr()
+        return sparse.bsr_matrix((blocks, indices, indptr), shape=shape).tocsr()
 
 
 # ----------------------------------------------------------------------

@@ -85,59 +85,59 @@ class StructuredGrid:
         return np.cumprod((1,) + self.node_shape[:0:-1], dtype=np.int64)[::-1]
 
     @cached_property
-    def elements(self):
-        """(n_elements, d+1) connectivity with positive-volume ordering.
+    def class_offsets(self):
+        """Lattice offsets of the vertices of each class, (n_classes, d+1, d).
 
-        Element order is cell-major with the permutation cycling fastest.
-        Permutation p gives the lattice offsets 0, e_p0, e_p0 + e_p1, ...,
+        Permutation p gives the offsets 0, e_p0, e_p0 + e_p1, ...,
         (1, ..., 1); the last two are swapped when p is odd, so every
         simplex has positive volume.
         """
-        idx = np.meshgrid(*[np.arange(n) for n in self.cells_per_axis], indexing="ij")
-        base = np.ravel_multi_index(idx, self.node_shape).ravel()
-        k = self.n_classes
-        elems = np.empty((k * base.size, self.dimension + 1), dtype=np.int64)
-        for t, perm in enumerate(permutations(range(self.dimension))):
-            offs = np.cumsum(np.concatenate([[0], self.node_strides[list(perm)]]))
+        d = self.dimension
+        offsets = np.zeros((self.n_classes, d + 1, d), dtype=np.int64)
+        for t, perm in enumerate(permutations(range(d))):
+            offsets[t, 1:] = np.cumsum(np.eye(d, dtype=np.int64)[list(perm)], axis=0)
             if _perm_sign(perm) < 0:
-                offs[[-2, -1]] = offs[[-1, -2]]
-            elems[t::k] = base[:, None] + offs
-        return elems
+                offsets[t, [-2, -1]] = offsets[t, [-1, -2]]
+        return offsets
 
     @cached_property
-    def element_class(self):
-        """Orientation class of each element, ``n_classes`` per cell.
-
-        All elements of a class are translates of each other, so geometric
-        factors (basis gradients, volume) are shared per class.
-        """
-        n_cells = int(np.prod(self.cells_per_axis))
-        return np.tile(np.arange(self.n_classes), n_cells)
+    def elements(self):
+        """(n_elements, d+1) connectivity, cell-major with the class cycling fastest."""
+        cells = np.indices(self.cells_per_axis).reshape(self.dimension, -1).T
+        base = cells @ self.node_strides
+        steps = self.class_offsets @ self.node_strides
+        return (base[:, None, None] + steps).reshape(-1, self.dimension + 1)
 
     @property
     def element_volume(self):
         return float(np.prod(self.spacing)) / self.n_classes
 
     @cached_property
-    def node_pattern(self):
-        """Scalar CSR pattern of the node graph, ``(indptr, indices, slots)``.
+    def stencil(self):
+        """The distinct lattice offsets between two vertices of one element,
+        (n_off, d): 7 in 2D, 15 in 3D, in increasing order of node id step."""
+        vertices = self.class_offsets
+        steps = (vertices[:, None] - vertices[:, :, None]).reshape(-1, self.dimension)
+        offsets = np.unique(steps, axis=0)
+        return offsets[np.argsort(offsets @ self.node_strides)]
 
-        Row a lists, in increasing order, every node that shares an element
-        with node a. ``slots[t, c, i, j]`` is the position in ``indices`` of
-        the entry (elements[e, i], elements[e, j]) of the element e of class
-        t in cell c. All three are int32 and built once per grid.
+    @cached_property
+    def node_pattern(self):
+        """Scalar CSR pattern of the node graph, ``(indptr, indices, entries)``.
+
+        Row a lists, in increasing order, the nodes a + s of the
+        :attr:`stencil` offsets s that stay on the grid, at flat positions
+        ``entries`` a * n_off + s. Such a pair shares an element: the nonzero
+        entries of s share one sign, so one cell holds both nodes on a
+        monotone path of the Kuhn subdivision.
         """
-        n, k = self.n_nodes, self.n_classes
-        conn = self.elements.reshape(-1, k, self.dimension + 1).swapaxes(0, 1)
-        keys = conn[..., :, None] * n + conn[..., None, :]
-        # a plain sort finds the distinct keys (np.unique hashes, ~10x slower)
-        distinct = np.sort(keys, axis=None)
-        distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
-        slots = np.empty(keys.shape, dtype=np.int32)
-        for t in range(k):
-            slots[t] = np.searchsorted(distinct, keys[t])
-        indptr = np.searchsorted(distinct, np.arange(n + 1) * n).astype(np.int32)
-        return indptr, (distinct % n).astype(np.int32), slots
+        lattice = np.indices(self.node_shape).reshape(self.dimension, -1).T
+        ends = lattice[:, None, :] + self.stencil
+        entries = np.flatnonzero(np.all((ends >= 0) & (ends < self.node_shape), axis=2))
+        row, s = np.divmod(entries, self.stencil.shape[0])
+        indptr = np.cumsum(np.bincount(row + 1, minlength=self.n_nodes + 1))
+        indices = row + (self.stencil @ self.node_strides)[s]
+        return indptr.astype(np.int32), indices.astype(np.int32), entries
 
     @cached_property
     def dissection_order(self):

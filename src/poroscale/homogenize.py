@@ -2,12 +2,12 @@
 
 For each coarse cell the fine-grid property values are restricted to the
 cell and rescaled to the unit cube. Permeability solves d scalar problems
-with affine boundary data psi_j = x_j and averages the flux,
+with affine boundary data psi_j = x_j; their averaged flux,
 
     k*_lj = (1/|K|) integral_K k(x) d(psi_l)/dx_j dx,
 
-which discretely equals the energy inner product of the solutions, so the
-raw matrix is symmetric up to solver tolerance. Elasticity solves one
+discretely equals their energy inner product, which is what is formed, so
+the raw matrix is symmetric up to solver tolerance. Elasticity solves one
 vector problem per strain component with boundary data u = Lambda^(rs) x
 (Lambda the symmetrized unit strain) and forms the energy Gram matrix of
 the solutions; weighting its shear rows/columns by sqrt(2) yields the
@@ -22,15 +22,15 @@ Every cell's nodal values come from one strided view of the fine field,
 :mod:`poroscale.dataset`. All cells share one patch grid and one Poisson
 ratio; a :class:`PatchEngine` is built for one of each, and
 :func:`homogenize_domain` refuses an engine of another grid or ratio. The
-engine builds the element blocks of each operator once, for the scatter
-of :mod:`poroscale.fem`; a patch's matrix is then summed from
-reference element matrices weighted by the element coefficient (at fixed
-Poisson ratio the isotropic stiffness is linear in Young's modulus). The
-boundary dofs are eliminated by index, the one Dirichlet policy of the
-package, on one matrix A(c) per solve: with x0 the boundary data, zero
-inside, each problem solves A_II x_I = -(A x0)_I with residual (A x)_I. In
-the natural order of the interior dofs A_II is an SPD band matrix of
-half-bandwidth kd (133 for diffusion, 401 for elasticity on a 12^3 patch),
+engine builds the stencil matrix of each operator once, for the stencil
+product of :mod:`poroscale.fem` (at fixed Poisson ratio the isotropic
+stiffness is linear in Young's modulus). The boundary dofs are eliminated
+by index, the one Dirichlet policy of the package, on one matrix A(c) per
+solve: with x0 the boundary data, zero inside, each problem solves
+A_II x_I = -(A x0)_I with residual (A x)_I. Numbered along lattice axes
+1..d-1 reversed, the interior dofs make A_II an SPD band matrix of
+half-bandwidth kd = R m^(d-1) + R - 1, for R dofs per node and m interior
+nodes per axis (121 for diffusion, 365 for elasticity on a 12^3 patch),
 which LAPACK's band Cholesky factors in one zeroed buffer per solve
 (``overwrite_ab``), at a cost of order n_I kd^2.
 """
@@ -111,31 +111,32 @@ class CellOperator:
     """Dirichlet cell problems ``A(c) x = 0`` with ``x = g`` on the boundary.
 
     ``A(c) = sum_e c_e K[class(e)]`` is linear in the element coefficient
-    ``c``, and ``dofs`` is its dof count per node. Its element blocks, of
-    the scatter of :class:`~poroscale.fem.P1Space`, are built once; each
-    solve sums the values of A(c) through them into the node blocks of the
-    grid's ``pattern``. ``band`` pairs the slot of each lower entry of the
-    interior block A_II with its flat index in the Fortran-ordered
-    (kd+1, n_I) band array. Column j of ``data`` holds problem j's values g.
+    ``c``, and ``dofs`` is its dof count per node. Its stencil matrix is
+    built once; each solve forms the node blocks of A(c) on the grid's
+    ``pattern``. ``interior`` runs along lattice axes 1..d-1 reversed, which
+    narrows the half-bandwidth ``kd``. ``band`` pairs the value index of
+    each lower entry of the interior block A_II with its flat index in the
+    Fortran-ordered (kd+1, n_I) band array. Column j of ``data`` holds
+    problem j's values g.
     """
 
     def __init__(self, space, dofs, reference, boundary, data):
-        self.dofs, self.reference = dofs, reference
-        indptr, indices, _ = space.grid.node_pattern
+        grid = space.grid
+        self.space, self.stencil = space, space.stencil_matrix(reference[..., None])
+        indptr, indices, _ = grid.node_pattern
         self.pattern = (indices, indptr)
-        self.blocks = list(space._blocks((dofs, dofs)))
-        n = dofs * (indptr.size - 1)
-        self.interior = np.setdiff1d(np.arange(n), boundary)
+        lattice = np.arange(grid.n_nodes).reshape(grid.node_shape)
+        nodes = np.flip(lattice, axis=tuple(range(1, grid.dimension))).reshape(-1, 1)
+        order = (nodes * dofs + np.arange(dofs)).ravel()
+        self.interior = order[~np.isin(order, boundary)]
         self.boundary, self.data = boundary, data
         # interior number of every dof, -1 on the boundary
-        number = np.full(n, -1)
+        number = np.full(order.size, -1)
         number[self.interior] = np.arange(self.interior.size)
-        # dof row and column of every value, entry (p, q) of node block (a, b)
-        block_row = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-        shape, local = (indices.size, dofs, dofs), np.arange(dofs)
-        rows = np.broadcast_to(dofs * block_row[:, None, None] + local[:, None], shape)
-        cols = np.broadcast_to(dofs * indices[:, None, None] + local, shape)
-        rows, cols = number[rows.ravel()], number[cols.ravel()]
+        # interior row and column of every value, entry (p, q) of node block (a, b)
+        ends = np.stack([np.repeat(np.arange(grid.n_nodes), np.diff(indptr)), indices])
+        local = np.indices((dofs, dofs))[:, None]
+        rows, cols = number[dofs * ends[:, :, None, None] + local].reshape(2, -1)
         lower = (cols >= 0) & (rows >= cols)
         self.kd = int((rows - cols)[lower].max(initial=0))
         # a[i, j] with i >= j sits at ab[i - j, j], in column-major order; in
@@ -146,16 +147,15 @@ class CellOperator:
 
     def solve(self, coeff):
         """Solutions of all problems, (n, n_problems), and A(c) times them."""
-        R, n = self.dofs, self.interior.size + self.boundary.size
-        scaled = P1Space._scaled(self.reference, coeff)
-        values = P1Space._scatter(self.blocks, scaled, R * R * self.pattern[0].size)
-        A = sparse.bsr_matrix((values.reshape(-1, R, R), *self.pattern), shape=(n, n))
+        values = self.space.node_blocks(self.stencil, coeff[:, None])
+        n = self.interior.size + self.boundary.size
+        A = sparse.bsr_matrix((values, *self.pattern), shape=(n, n))
         x = np.zeros((n, self.data.shape[1]))
         x[self.boundary] = self.data
         rhs = -(A @ x)[self.interior]
         # in Fortran order LAPACK factors ab in place, without a copy
         ab = np.zeros((self.kd + 1, self.interior.size), order="F")
-        ab.ravel("F")[self.band[1]] = values[self.band[0]]
+        ab.ravel("F")[self.band[1]] = values.ravel()[self.band[0]]
         try:
             x[self.interior] = solveh_banded(
                 ab, rhs, overwrite_ab=True, lower=True, check_finite=False
@@ -200,34 +200,25 @@ class PatchEngine(P1Space):
         coords = self.grid.node_coords[self.bnodes]
         pairs = strain_component_pairs(d)
         data = np.stack([coords @ unit_strain_tensor(p, d) for p in pairs], -1)
-        return CellOperator(
-            self,
-            d,
-            reference,
-            (self.bnodes[:, None] * d + np.arange(d)).ravel(),
-            data.reshape(-1, len(pairs)),  # node-major vector dofs
-        )
+        # node-major vector dofs
+        dofs = (self.bnodes[:, None] * d + np.arange(d)).ravel()
+        return CellOperator(self, d, reference, dofs, data.reshape(-1, len(pairs)))
 
     def permeability(self, k_e):
-        """Raw flux-averaged permeability (d, d) of per-element values."""
+        """Raw permeability (d, d) of per-element values: the energy Gram
+        matrix of the solutions on the unit cube, their averaged flux."""
         if np.any(k_e <= 0.0):
             raise ParameterError("diffusion coefficient must be positive")
-        grid = self.grid
-        psi, _ = self.diffusion.solve(k_e)
-        grads = self.class_gradients[grid.element_class]
-        # per-element gradient of each solution: (n_elem, d components, d problems)
-        gpsi = np.einsum("eia,eil->eal", grads, psi[grid.elements])
-        volume = grid.element_volume * grid.elements.shape[0]
-        return grid.element_volume / volume * np.einsum("e,ejl->lj", k_e, gpsi)
+        psi, A_psi = self.diffusion.solve(k_e)
+        return psi.T @ A_psi
 
     def stiffness(self, young_e):
         """Raw energy stiffness (m, m), sqrt(2) convention, of per-element
-        Young's moduli at the engine's Poisson ratio."""
+        Young's moduli at the engine's Poisson ratio, on the unit cube."""
         lame_parameters(young_e, self.eta)  # validates E > 0 and the Poisson ratio
         phi, A_phi = self.elasticity.solve(young_e)
-        volume = self.grid.element_volume * self.grid.elements.shape[0]
         w = mandel_weights(self.d)
-        return np.outer(w, w) * (phi.T @ A_phi / volume)
+        return np.outer(w, w) * (phi.T @ A_phi)
 
 
 def effective_permeability(engine, perm):

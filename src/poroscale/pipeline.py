@@ -298,7 +298,8 @@ def load_models(layout, config):
     """Each target's trained network and the scaler of its training data.
 
     A network whose (dimension, patch size, output count) is not what the
-    configured grids and its target need is an error.
+    configured grids and its target need is an error, and so is a scaler
+    of another output count.
     """
     d = config.dimension
     n_l = patch_ratio(StructuredGrid(config.fine_cells), config.coarse_cells)
@@ -316,7 +317,14 @@ def load_models(layout, config):
                 f"need {expected}; run `poroscale build-dataset`, then "
                 "`poroscale train` again"
             )
-        scalers[target] = load_scaler(layout.dataset_path(target))
+        scaler = scalers[target] = load_scaler(layout.dataset_path(target))
+        if scaler.output_min.size != expected[2]:
+            raise PipelineError(
+                f"{layout.dataset_path(target)} holds a scaler of "
+                f"{scaler.output_min.size} outputs, the {target} target needs "
+                f"{expected[2]}; run `poroscale build-dataset`, then "
+                "`poroscale train` again"
+            )
     return networks, scalers
 
 

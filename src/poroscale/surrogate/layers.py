@@ -24,8 +24,8 @@ input, the Conv output before it (16 * 12^3 * 8 B = 0.22 MB per sample
 for the first), for its backward. So every forward pass, inference
 included, runs on a bounded batch (``Network.predict``).
 
-``Conv`` also keeps a plan of its latest input shape: the shapes and
-index tuples a pass would otherwise rebuild, and no array (0 B). The
+``Conv`` also keeps a plan of each input shape it has seen: the shapes
+and index tuples a pass would otherwise rebuild, and no array (0 B). The
 zero-bordered input it describes, 14^3 * 8 B = 22 kB and 16 * 8^3 * 8 B =
 66 kB per sample for the two 3D layers, lives only during a forward pass,
 since a kept one would add to the high-water mark of every later stage.
@@ -78,20 +78,20 @@ class Conv:
         self.params = [weight, np.zeros(out_channels)]
         self.grads = [np.zeros_like(p) for p in self.params]
         self._cols = None
-        self._plan = None
+        self._plans = {}  # input shape -> plan
 
     weight = property(lambda self: self.params[0])
     bias = property(lambda self: self.params[1])
 
     def _plan_for(self, shape):
-        """The plan of input shape ``shape``, rebuilt when the shape changes.
+        """The plan of input shape ``shape``, built on its first use.
 
         ``padded`` is the zero-bordered channels-last input's shape, and
         ``col2im`` pairs each window offset u with the input positions its
         columns reach, s + u - 1 clipped to the input.
         """
-        if self._plan is not None and self._plan.shape == shape:
-            return self._plan
+        if shape in self._plans:
+            return self._plans[shape]
         d, p, spatial = self.dim, KERNEL // 2, shape[2:]
         padded = shape[:1] + tuple(n + 2 * p for n in spatial) + shape[1:2]
         col2im = []
@@ -100,14 +100,14 @@ class Conv:
             to = [slice(max(t, 0), n + min(t, 0)) for t, n in zip(shifts, spatial)]
             at = [slice(max(-t, 0), n - max(t, 0)) for t, n in zip(shifts, spatial)]
             col2im.append(((slice(None), *to), (u, slice(None), *at)))
-        self._plan = SimpleNamespace(
+        plan = self._plans[shape] = SimpleNamespace(
             shape=shape,
             padded=padded,
             inner=(slice(None),) + tuple(slice(p, p + n) for n in spatial),
             windows=shape[:1] + spatial + shape[1:2] + (KERNEL,) * d,
             col2im=col2im,
         )
-        return self._plan
+        return plan
 
     def _columns(self, x, plan):
         """(batch * spatial, in_ch * k^d) windows of the zero-bordered input.
@@ -150,7 +150,7 @@ class Conv:
             (in_ch, -1, batch) + spatial
         ).transpose(COLUMNS_LAST[self.dim])
         grad = np.zeros((batch,) + spatial + (in_ch,))
-        for to, at in self._plan.col2im:
+        for to, at in self._plans[(batch, in_ch) + spatial].col2im:
             grad[to] += col_grad[at]
         return grad.transpose(CHANNELS_FIRST[self.dim])
 

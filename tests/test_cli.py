@@ -354,6 +354,19 @@ def test_models_of_another_target_are_an_error(capsys, tmp_path):
     assert_models_refused(capsys, argv, layout, "(2, 8, 6)", "(2, 8, 3)")
 
 
+def test_datasets_of_another_target_are_an_error(capsys, tmp_path):
+    argv = train_desk_mini(tmp_path)
+    layout = RunLayout(tmp_path)
+    perm, elast = layout.dataset_path("permeability"), layout.dataset_path("elasticity")
+    perm.rename(tmp_path / "swap")
+    elast.rename(perm)
+    (tmp_path / "swap").rename(elast)
+    # the permeability dataset now holds a scaler of 6 outputs, not 3
+    assert_models_refused(
+        capsys, argv, layout, "scaler of 6 outputs", "permeability target needs 3"
+    )
+
+
 def test_mini_pipeline_end_to_end(capsys, tmp_path):
     argv = ["--preset", "desk-mini", "--workdir", str(tmp_path)]
     stages = [

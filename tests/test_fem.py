@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-import poroscale.fem as fem
 from poroscale.elasticity import (
     SQRT2,
     isotropic_stiffness,
@@ -78,12 +77,13 @@ def dense_assembly(grid, rows, cols, local):
     return A, touched
 
 
-def assembly_cases(grid):
+def assembly_cases(grid, seed):
     """(name, assembled matrix, dense reference, reference pattern) for every
-    assemble_* and every input form."""
+    assemble_* and every input form, with random coefficients drawn from
+    ``seed``."""
     d, n_elem = grid.dimension, grid.elements.shape[0]
     vol = grid.element_volume
-    rng = np.random.default_rng(59)
+    rng = np.random.default_rng(seed)
     nodal = rng.uniform(0.5, 2.0, grid.n_nodes)
     ce = nodal[grid.elements].mean(axis=1)
     per_elem = rng.uniform(0.5, 2.0, n_elem)
@@ -137,12 +137,11 @@ def assembly_cases(grid):
     ]
 
 
-# a block size of 5 splits every class into several scatter blocks
-@pytest.mark.parametrize("block", [fem._BLOCK, 5])
+# two draws of the random coefficient fields per grid
+@pytest.mark.parametrize("seed", [4096, 5])
 @pytest.mark.parametrize("cells", [(4, 3), (2, 3, 2)])
-def test_assembly_matches_dense_element_loop(cells, block, monkeypatch):
-    monkeypatch.setattr(fem, "_BLOCK", block)
-    for name, A, (dense, touched) in assembly_cases(StructuredGrid(cells)):
+def test_assembly_matches_dense_element_loop(cells, seed):
+    for name, A, (dense, touched) in assembly_cases(StructuredGrid(cells), seed):
         assert isinstance(A, sparse.csr_matrix), name
         assert A.has_canonical_format, name
         pattern = np.zeros(A.shape, dtype=bool)

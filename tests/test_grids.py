@@ -208,13 +208,13 @@ def test_elements_stay_inside_their_cell(cells):
 def test_classes_are_translates(cells):
     g = StructuredGrid(cells)
     per_cell = 2 if g.dimension == 2 else 6
-    assert np.array_equal(
-        g.element_class, np.tile(np.arange(per_cell), int(np.prod(cells)))
-    )
+    assert g.class_offsets.shape == (per_cell, g.dimension + 1, g.dimension)
+    # the class cycles fastest in element order
     for t in range(per_cell):
-        members = g.elements[g.element_class == t]
+        members = g.elements[t::per_cell]
         shapes = g.node_coords[members] - g.node_coords[members][:, :1]
         assert np.allclose(shapes, shapes[0], atol=1e-14)
+        assert np.allclose(shapes[0], g.class_offsets[t] * g.spacing, atol=1e-14)
 
 
 @pytest.mark.parametrize("cells", [(2, 2, 2), (2, 3)])

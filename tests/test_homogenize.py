@@ -1,5 +1,7 @@
 """Effective tensors from local cell problems: anchors, bounds, structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -256,7 +258,8 @@ def reference_permeability(space, k_e):
     values = grid.node_coords[bnodes]  # column j holds psi_j = x_j
     rhs = system.fold_rhs(np.zeros((grid.n_nodes, grid.dimension)), values)
     psi = system.expand(LUSolver(system.matrix).solve(rhs), values)
-    grads = space.class_gradients[grid.element_class]
+    n_cells = grid.elements.shape[0] // grid.n_classes
+    grads = np.tile(space.class_gradients, (n_cells, 1, 1))
     gpsi = np.einsum("eia,eil->eal", grads, psi[grid.elements])
     raw = np.einsum("e,ejl->lj", k_e, gpsi) / grid.elements.shape[0]
     return 0.5 * (raw + raw.T)
@@ -363,6 +366,11 @@ def test_band_layout(cells):
     # at a constant coefficient the solutions are the affine boundary data
     x, _ = op.solve(np.ones(grid.elements.shape[0]))
     assert np.allclose(x, grid.node_coords, atol=1e-12)
+    # interior nodes run along lattice axis 0 ascending, axes 1..d-1 descending
+    idx = np.indices(grid.node_shape).reshape(grid.dimension, -1)
+    order = np.lexsort(tuple(-idx[:0:-1]) + (idx[0],))
+    inside = np.all((idx > 0) & (idx < np.array(cells)[:, None]), axis=0)
+    assert np.array_equal(op.interior, order[inside[order]])
     # number the slots of the pattern 1, 2, ...; the band must hold the
     # slot of every lower entry of A_II at its banded position
     n, n_i = op.pattern[1].size - 1, op.interior.size
@@ -380,6 +388,28 @@ def test_band_layout(cells):
     # the pattern is symmetric, so the lower band carries all of A_II
     assert np.array_equal(np.triu(A_ii) != 0.0, np.tril(A_ii).T != 0.0)
     assert op.factor_fill == (op.kd + 1) * op.interior.size
+
+
+@pytest.mark.parametrize("cells", [(16, 16), (12, 12, 12)])
+def test_bandwidth_follows_the_reversed_axes(cells):
+    # the longest stencil step runs along lattice axis 0, m^(d-1) interior
+    # nodes, so kd = R m^(d-1) + R - 1 for R dofs per node
+    engine = PatchEngine(StructuredGrid(cells), 0.3)
+    d, m = len(cells), cells[0] - 1
+    for op, R in ((engine.diffusion, 1), (engine.elasticity, d)):
+        assert op.kd == R * m ** (d - 1) + R - 1
+
+
+def test_patch_engine_memory():
+    # a 12^3 engine with both operators built holds at most 4 MiB
+    tracemalloc.start()
+    try:
+        engine = PatchEngine(StructuredGrid((12, 12, 12)), 0.3)
+        engine.diffusion, engine.elasticity
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 4 * 2**20
 
 
 @pytest.mark.parametrize("cells", [(5, 5), (3, 3, 3)])

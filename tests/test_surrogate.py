@@ -365,9 +365,11 @@ def test_plans_follow_batch_shape_changes():
         assert net.flat_grads.tobytes() == want.flat_grads.tobytes()
     x = rng.normal(size=(INFERENCE_CHUNK, 1, 8, 8))
     assert net.predict(x).tobytes() == fresh().predict(x).tobytes()
-    # and each Conv plan was rebuilt for the last batch shape
+    # and each Conv keeps one plan per batch shape it ran
     convs = [layer for layer in net.layers if isinstance(layer, Conv)]
-    assert all(layer._plan.shape[0] == INFERENCE_CHUNK for layer in convs)
+    batches = sorted({16, 7, INFERENCE_CHUNK})
+    for layer in convs:
+        assert sorted(shape[0] for shape in layer._plans) == batches
 
 
 @pytest.mark.parametrize("dim,patch", [(2, 7), (3, 5)])
@@ -416,16 +418,32 @@ def test_layers_hold_views_of_the_flat_vectors():
 
 
 def test_conv_plans_keep_no_array():
-    # after inference on 64 samples of 12^3 and a training step at batch 8
+    # after inference on one chunk of 12^3 samples and training steps at
+    # batch 8 and 5, each Conv keeps one plan per input shape, holding no array
     net = build_network(3, 12, 6, seed=47)
     rng = np.random.default_rng(48)
-    net.predict(rng.random(size=(64, 1, 12, 12, 12)))
-    out = net.forward(rng.random(size=(8, 1, 12, 12, 12)), train=True, rng=rng)
-    net.backward(np.ones_like(out), input_grad=False)
-    for layer in net.layers:
-        if isinstance(layer, Conv):
-            plan = vars(layer._plan).values()
-            assert not any(isinstance(v, np.ndarray) for v in plan), layer
+    convs = [layer for layer in net.layers if isinstance(layer, Conv)]
+
+    def passes():
+        net.predict(rng.random(size=(INFERENCE_CHUNK, 1, 12, 12, 12)))
+        for batch in (8, 5, 8):
+            x = rng.random(size=(batch, 1, 12, 12, 12))
+            out = net.forward(x, train=True, rng=rng)
+            net.backward(np.ones_like(out), input_grad=False)
+
+    passes()
+    batches = {INFERENCE_CHUNK, 8, 5}
+    kept = [dict(layer._plans) for layer in convs]
+    for layer, plans in zip(convs, kept):
+        assert len(plans) == len(batches), layer
+        assert {shape[0] for shape in plans} == batches, layer
+        for plan in plans.values():
+            assert not any(isinstance(v, np.ndarray) for v in vars(plan).values())
+    # the same shapes again build no plan
+    passes()
+    for layer, plans in zip(convs, kept):
+        assert layer._plans.keys() == plans.keys()
+        assert all(layer._plans[shape] is plan for shape, plan in plans.items())
 
 
 def test_conv_holds_one_column_matrix():
