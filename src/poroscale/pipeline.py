@@ -58,7 +58,7 @@ from .homogenize import (
     patch_grid,
     patch_ratio,
 )
-from .poro import PoroState, error_norms, solve_coarse, solve_poroelasticity
+from .poro import error_norms, solve_coarse, solve_poroelasticity
 from .random_field import PropertyFields, build_kl_basis, field_to_properties, sample_field
 from .surrogate.network import build_network, load_network, save_network
 from .surrogate.training import evaluate, predict_effective, train
@@ -390,8 +390,7 @@ def predict_stage(config, layout):
 
 
 def _write_states(layout, kind, index, states):
-    for part in ("p", "u"):
-        values = np.stack([getattr(s, part) for s in states])
+    for part, values in zip(("p", "u"), states):
         write_array(layout.state_path(kind, index, part), values)
 
 
@@ -425,7 +424,7 @@ def solve_coarse_stage(config, layout, source=DIRECT):
 
 
 def _final_state(layout, config, grid, kind, index, command):
-    """Final state of one stored solve on ``grid``, all time steps present."""
+    """Final ``(p, u)`` of one stored solve on ``grid``, all time steps present."""
     rows = config.stepping.n_steps + 1
     p, u = (
         _read_stored(
@@ -433,7 +432,7 @@ def _final_state(layout, config, grid, kind, index, command):
         )
         for part, k in (("p", 1), ("u", grid.dimension))
     )
-    return PoroState(p=p[-1], u=u[-1], time=0.0)
+    return p[-1], u[-1]
 
 
 def _speedup_block(layout):
@@ -504,7 +503,7 @@ def report_stage(config, layout):
             ):
                 reports[source, index] = report
         rows = [
-            (config.name, source, index) + reports[source, index].as_tuple()
+            (config.name, source, index) + reports[source, index]
             for source in sources
             for index in held_out_indices(config)
         ]

@@ -28,8 +28,12 @@ to round-off). Each solve therefore constrains and factors one matrix,
 the block system, and reuses the factorization for every step.
 
 The same marcher serves the fine grid (isotropic stiffness from nodal
-properties) and the coarse grid (general per-cell effective tensors);
-relative L2 and energy error norms compare the two at matching times.
+properties) and the coarse grid (general per-cell effective tensors). A
+solve returns two arrays whose rows are the states at t = 0, tau, ...,
+t_max: the nodal pressure P, shape (n_steps + 1, n_nodes), and the
+node-major displacement U, shape (n_steps + 1, d * n_nodes). Relative L2
+and energy error norms compare a fine and a coarse (p, u) row pair at one
+time.
 """
 
 from dataclasses import dataclass
@@ -77,33 +81,6 @@ class TimeSteppingConfig:
         return self.t_max / self.n_steps
 
 
-@dataclass
-class PoroState:
-    """Solution snapshot: nodal pressure and node-major displacement."""
-
-    p: np.ndarray
-    u: np.ndarray
-    time: float
-
-
-@dataclass
-class ErrorReport:
-    """Relative errors in percent at matching solution times."""
-
-    e_p_l2: float
-    e_p_energy: float
-    e_u_l2: float
-    e_u_energy: float
-
-    def as_tuple(self):
-        return (
-            float(self.e_p_l2),
-            float(self.e_p_energy),
-            float(self.e_u_l2),
-            float(self.e_u_energy),
-        )
-
-
 def _fixed_dofs(grid, p1):
     """Constrained dofs and values of the one boundary setup.
 
@@ -122,8 +99,9 @@ def _fixed_dofs(grid, p1):
     return dofs, values
 
 
-def _march(grid, space, mobility, stiffness, modulus, constants, ts):
-    """Shared implicit stepping loop; returns states at t=0, tau, ..., t_max."""
+def _march(grid, mobility, stiffness, modulus, constants, ts):
+    """Shared implicit stepping loop; returns (P, U), rows t=0, tau, ..., t_max."""
+    space = P1Space(grid)
     n_p = grid.n_nodes
     d = grid.dimension
     tau = ts.tau
@@ -150,19 +128,17 @@ def _march(grid, space, mobility, stiffness, modulus, constants, ts):
     else:
         F = np.zeros(n_p)
 
-    p = np.full(n_p, float(ts.p0))
+    P = np.empty((ts.n_steps + 1, n_p))
+    P[0] = ts.p0
     # zero displacement data and a uniform p0 give A u = -G p0 = 0 at t = 0
-    u = np.zeros(n_p * d)
-
-    states = [PoroState(p=p.copy(), u=u.copy(), time=0.0)]
+    U = np.zeros((ts.n_steps + 1, n_p * d))
     rhs = np.zeros(n_p + n_p * d)
     for n in range(1, ts.n_steps + 1):
-        rhs[:n_p] = F + (Mm @ p) / tau + (D_pu @ u) / tau
+        rhs[:n_p] = F + (Mm @ P[n - 1]) / tau + (D_pu @ U[n - 1]) / tau
         sol = expand(solver.solve(fold(rhs)))
-        p = sol[:n_p]
-        u = sol[n_p:]
-        states.append(PoroState(p=p.copy(), u=u.copy(), time=n * tau))
-    return states
+        P[n] = sol[:n_p]
+        U[n] = sol[n_p:]
+    return P, U
 
 
 def solve_poroelasticity(
@@ -173,13 +149,12 @@ def solve_poroelasticity(
     ``fields`` carries nodal permeability and Young's modulus plus the
     Poisson ratio (see :mod:`poroscale.random_field`).
     """
-    space = P1Space(grid)
     perm = np.asarray(fields.perm, dtype=float)
     if not np.all(np.isfinite(perm) & (perm > 0.0)):
         raise ParameterError("permeability must be finite and positive everywhere")
     lame_parameters(fields.young, fields.eta)  # validates E and the Poisson ratio
     C = isotropic_stiffness(1.0, fields.eta, grid.dimension)
-    return _march(grid, space, perm / constants.nu_f, C, fields.young, constants, ts)
+    return _march(grid, perm / constants.nu_f, C, fields.young, constants, ts)
 
 
 def solve_coarse(
@@ -208,30 +183,23 @@ def solve_coarse(
                 f"effective {name} in cell {bad[0]} is not finite and positive definite"
             )
 
-    space = P1Space(grid)
     # element order is cell-major, orientation classes fastest
     cell_of_element = np.repeat(np.arange(n_cells), grid.n_classes)
     k_e = effective.perm[cell_of_element] / constants.nu_f
     C_e = effective.stiffness[cell_of_element]
-    return _march(grid, space, k_e, C_e, 1.0, constants, ts)
+    return _march(grid, k_e, C_e, 1.0, constants, ts)
 
 
-def _interpolate_state(coarse_grid, state, fine_grid):
-    """Coarse solution sampled at fine nodes, same layout as a fine state."""
-    d = coarse_grid.dimension
-    points = fine_grid.node_coords
-    p = coarse_grid.interpolate(state.p, points)
-    u = coarse_grid.interpolate(state.u.reshape(-1, d), points).reshape(-1)
-    return PoroState(p=p, u=u, time=state.time)
-
-
-def error_norms(fine_state, coarse_states, fine_grid, coarse_grid, fields):
+def error_norms(fine, coarse_states, fine_grid, coarse_grid, fields):
     """Relative L2 and energy errors of each coarse state, in percent.
 
-    Each coarse solution is first interpolated onto the fine nodes. Energy
-    norms weight pressure by the fine permeability and displacement by the
-    fine stiffness; these forms are assembled once for all
-    ``coarse_states``. Returns one :class:`ErrorReport` per coarse state.
+    ``fine`` and each of ``coarse_states`` is a ``(p, u)`` pair: one row of
+    the P and U arrays of a solve on its grid, at the same time. Each coarse
+    pair is first interpolated onto the fine nodes. Energy norms weight
+    pressure by the fine permeability and displacement by the fine
+    stiffness; these forms are assembled once for all ``coarse_states``.
+    Returns one row ``(e_p L2, e_p energy, e_u L2, e_u energy)`` of floats
+    per coarse state.
     """
     d = fine_grid.dimension
     space = P1Space(fine_grid)
@@ -248,22 +216,24 @@ def error_norms(fine_state, coarse_states, fine_grid, coarse_grid, fields):
             raise ParameterError("reference solution norm is zero")
         return 100.0 * float(np.sqrt(num / den))
 
-    uf2 = fine_state.u.reshape(-1, d)
+    p_f, u_f = fine
+    uf2 = u_f.reshape(-1, d)
     l2_den = sum(float(uf2[:, c] @ (mass @ uf2[:, c])) for c in range(d))
     if l2_den <= 0.0:
         raise ParameterError("reference solution norm is zero")
 
-    def report(coarse_state):
-        interp = _interpolate_state(coarse_grid, coarse_state, fine_grid)
-        dp = fine_state.p - interp.p
-        du = fine_state.u - interp.u
+    points = fine_grid.node_coords
+
+    def row(p_c, u_c):
+        dp = p_f - coarse_grid.interpolate(p_c, points)
+        du = u_f - coarse_grid.interpolate(u_c.reshape(-1, d), points).reshape(-1)
         du2 = du.reshape(-1, d)
         l2_num = sum(float(du2[:, c] @ (mass @ du2[:, c])) for c in range(d))
-        return ErrorReport(
-            e_p_l2=ratio(dp, fine_state.p, mass),
-            e_p_energy=ratio(dp, fine_state.p, diffusion),
-            e_u_l2=100.0 * float(np.sqrt(l2_num / l2_den)),
-            e_u_energy=ratio(du, fine_state.u, stiffness),
+        return (
+            ratio(dp, p_f, mass),
+            ratio(dp, p_f, diffusion),
+            100.0 * float(np.sqrt(l2_num / l2_den)),
+            ratio(du, u_f, stiffness),
         )
 
-    return [report(state) for state in coarse_states]
+    return [row(p_c, u_c) for p_c, u_c in coarse_states]

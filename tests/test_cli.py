@@ -20,8 +20,14 @@ from poroscale.config import (
 )
 from poroscale.dataset import SplitSpec, load_scaler
 from poroscale.errors import ParameterError
-from poroscale.pipeline import RunLayout, _speedup_block
-from poroscale.poro import PoroConstants, TimeSteppingConfig
+from poroscale.grid import StructuredGrid
+from poroscale.pipeline import (
+    RunLayout,
+    _speedup_block,
+    held_out_indices,
+    load_fields,
+)
+from poroscale.poro import PoroConstants, TimeSteppingConfig, error_norms
 from poroscale.random_field import CovarianceSpec, PropertyParams
 from poroscale.surrogate.network import load_network, save_network
 from poroscale.surrogate.training import TrainConfig
@@ -424,11 +430,31 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
 
     errors = layout.errors_csv.read_text(encoding="utf-8").splitlines()
     assert errors[0] == "test,case,realization,e_p_L2,e_p_en,e_u_L2,e_u_en"
-    cases = [line.split(",")[1] for line in errors[1:]]
-    assert cases == ["direct", "predicted"]
-    for line in errors[1:]:
-        values = [float(v) for v in line.split(",")[3:]]
-        assert all(np.isfinite(values)) and len(values) == 4
+    # each row is error_norms over the last rows of the stored state files,
+    # sources outer and held-out realizations inner
+    config = load_preset("desk-mini")
+    fine_grid = StructuredGrid(config.fine_cells)
+    coarse_grid = StructuredGrid(config.coarse_cells)
+
+    def final(kind, index):
+        return tuple(
+            read_array(layout.state_path(kind, index, part))[-1] for part in "pu"
+        )
+
+    expected = [
+        (config.name, source, str(index))
+        + error_norms(
+            final("fine", index),
+            [final(f"coarse_{source}", index)],
+            fine_grid,
+            coarse_grid,
+            load_fields(layout, config, index),
+        )[0]
+        for source in ("direct", "predicted")
+        for index in held_out_indices(config)
+    ]
+    rows = [line.split(",") for line in errors[1:]]
+    assert [(*row[:3], *map(float, row[3:])) for row in rows] == expected
 
     summary = layout.summary_txt.read_text(encoding="utf-8")
     assert "speedup" in summary
