@@ -225,19 +225,19 @@ class P1Space:
         ]
         return np.stack(Z, axis=-2).reshape(grid.n_nodes, -1)
 
-    def node_blocks(self, stencil, coeff):
-        """Node blocks (nnz, R, C) of the matrix with element coefficients
-        ``coeff``, in the order of the grid's node pattern: the stencil
-        product ``_shifted(coeff) @ stencil`` at the offsets inside the grid."""
+    def block_matrix(self, stencil, coeff):
+        """BSR matrix with element coefficients ``coeff`` on the grid's node
+        pattern: its blocks are the stencil product ``_shifted(coeff) @
+        stencil`` at the offsets inside the grid."""
         values = self._shifted(coeff) @ stencil.reshape(stencil.shape[0], -1)
         values = values.reshape((-1,) + stencil.shape[2:])
-        return np.take(values, self.grid.node_pattern[2], axis=0)
+        indptr, indices, entries = self.grid.node_pattern
+        shape = tuple(n * self.grid.n_nodes for n in stencil.shape[2:])
+        blocks = np.take(values, entries, axis=0)
+        return sparse.bsr_matrix((blocks, indices, indptr), shape=shape)
 
     def _assemble(self, reference, coeff):
-        blocks = self.node_blocks(self.stencil_matrix(reference), coeff)
-        shape = tuple(n * self.grid.n_nodes for n in blocks.shape[1:])
-        indptr, indices, _ = self.grid.node_pattern
-        return sparse.bsr_matrix((blocks, indices, indptr), shape=shape).tocsr()
+        return self.block_matrix(self.stencil_matrix(reference), coeff).tocsr()
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from itertools import permutations
 from math import factorial
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ParameterError
 
@@ -183,32 +184,31 @@ class StructuredGrid:
         ids = np.concatenate([self.boundary_nodes(f) for f in self.face_names()])
         return np.unique(ids)
 
-    def interpolate(self, values, points):
-        """Evaluate the P1 interpolant of nodal ``values`` at ``points``.
+    def prolongation(self, points):
+        """P1 interpolation matrix from the nodes to ``points``, CSR
+        (n_points, n_nodes).
 
-        ``values`` has shape (n_nodes,) or (n_nodes, m); interpolation is
-        consistent with the simplicial splitting used by ``elements``: a
-        point with local coordinates sorted as s_0 >= ... >= s_{d-1} lies in
-        the simplex of that permutation, on the path 0, e_p0, e_p0 + e_p1,
-        ..., with weights 1 - s_0, s_0 - s_1, ..., s_{d-1}. Ties take the
-        lower axis first.
+        Row r holds the weights of point r, consistent with the simplicial
+        splitting used by ``elements``: a point with local coordinates
+        sorted as s_0 >= ... >= s_{d-1} lies in the simplex of that
+        permutation, on the path 0, e_p0, e_p0 + e_p1, ..., with weights
+        1 - s_0, s_0 - s_1, ..., s_{d-1}. Ties take the lower axis first;
+        points outside the unit hypercube are clipped onto it.
         """
-        values = np.asarray(values, dtype=float)
         points = np.asarray(points, dtype=float)
-        if values.shape[0] != self.n_nodes:
-            raise ParameterError("nodal array does not match grid")
         cells = np.array(self.cells_per_axis)
         scaled = np.clip(points * cells, 0.0, cells - 1e-12)
         cell_idx = np.minimum(scaled.astype(np.int64), cells - 1)
         xi = scaled - cell_idx
         order = np.argsort(-xi, axis=1, kind="stable")
         s = np.take_along_axis(xi, order, axis=1)
-        n = len(points)
+        n, k = len(points), self.dimension + 1
         path = np.hstack([np.ones((n, 1)), s, np.zeros((n, 1))])
         weights = path[:, :-1] - path[:, 1:]
+        # the path's corners, in increasing node order
         strides = self.node_strides
-        corners = np.empty((n, self.dimension + 1), dtype=np.int64)
-        corners[:, 0] = cell_idx @ strides
-        for i in range(self.dimension):
-            corners[:, i + 1] = corners[:, i] + strides[order[:, i]]
-        return np.einsum("pk,pk...->p...", weights, values[corners])
+        corners = np.cumsum(np.column_stack([cell_idx @ strides, strides[order]]), 1)
+        indptr = np.arange(0, n * k + 1, k)
+        return sparse.csr_matrix(
+            (weights.ravel(), corners.ravel(), indptr), shape=(n, self.n_nodes)
+        )

@@ -41,7 +41,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import sparse
 from scipy.linalg import solveh_banded
 
 from .elasticity import (
@@ -112,19 +111,18 @@ class CellOperator:
 
     ``A(c) = sum_e c_e K[class(e)]`` is linear in the element coefficient
     ``c``, and ``dofs`` is its dof count per node. Its stencil matrix is
-    built once; each solve forms the node blocks of A(c) on the grid's
-    ``pattern``. ``interior`` runs along lattice axes 1..d-1 reversed, which
-    narrows the half-bandwidth ``kd``. ``band`` pairs the value index of
-    each lower entry of the interior block A_II with its flat index in the
-    Fortran-ordered (kd+1, n_I) band array. Column j of ``data`` holds
-    problem j's values g.
+    built once; each solve forms A(c) as a BSR matrix on the grid's node
+    pattern (:meth:`P1Space.block_matrix`). ``interior`` runs along lattice
+    axes 1..d-1 reversed, which narrows the half-bandwidth ``kd``. ``band``
+    pairs the index in ``A.data`` of each lower entry of the interior block
+    A_II with its flat index in the Fortran-ordered (kd+1, n_I) band array.
+    Column j of ``data`` holds problem j's values g.
     """
 
     def __init__(self, space, dofs, reference, boundary, data):
         grid = space.grid
         self.space, self.stencil = space, space.stencil_matrix(reference[..., None])
         indptr, indices, _ = grid.node_pattern
-        self.pattern = (indices, indptr)
         lattice = np.arange(grid.n_nodes).reshape(grid.node_shape)
         nodes = np.flip(lattice, axis=tuple(range(1, grid.dimension))).reshape(-1, 1)
         order = (nodes * dofs + np.arange(dofs)).ravel()
@@ -147,15 +145,13 @@ class CellOperator:
 
     def solve(self, coeff):
         """Solutions of all problems, (n, n_problems), and A(c) times them."""
-        values = self.space.node_blocks(self.stencil, coeff[:, None])
-        n = self.interior.size + self.boundary.size
-        A = sparse.bsr_matrix((values, *self.pattern), shape=(n, n))
-        x = np.zeros((n, self.data.shape[1]))
+        A = self.space.block_matrix(self.stencil, coeff[:, None])
+        x = np.zeros((A.shape[0], self.data.shape[1]))
         x[self.boundary] = self.data
         rhs = -(A @ x)[self.interior]
         # in Fortran order LAPACK factors ab in place, without a copy
         ab = np.zeros((self.kd + 1, self.interior.size), order="F")
-        ab.ravel("F")[self.band[1]] = values.ravel()[self.band[0]]
+        ab.ravel("F")[self.band[1]] = A.data.ravel()[self.band[0]]
         try:
             x[self.interior] = solveh_banded(
                 ab, rhs, overwrite_ab=True, lower=True, check_finite=False

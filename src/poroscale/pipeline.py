@@ -286,14 +286,6 @@ def train_stage(config, layout):
     return record
 
 
-def _metrics_rows(metrics):
-    rows = [("all", metrics.mse, metrics.mae_pct, metrics.rmse_pct)]
-    components = zip(
-        metrics.component_mse, metrics.component_mae_pct, metrics.component_rmse_pct
-    )
-    return rows + [(str(j), *map(float, c)) for j, c in enumerate(components)]
-
-
 def load_models(layout, config):
     """Each target's trained network and the scaler of its training data.
 
@@ -338,16 +330,16 @@ def evaluate_stage(config, layout):
                 parts = split(ds, config.split)
                 lines = ["split,component,mse,mae_pct,rmse_pct\n"]
                 for name in ("train", "val", "test"):
-                    metrics = evaluate(network, parts[name])
-                    for component, mse, mae, rmse in _metrics_rows(metrics):
-                        lines.append(f"{name},{component},{mse!r},{mae!r},{rmse!r}\n")
+                    # Python floats: their repr is the CSV text
+                    table = evaluate(network, parts[name]).tolist()
+                    labels = ["all", *map(str, range(len(table) - 1))]
+                    for label, row in zip(labels, table):
+                        values = ",".join(map(repr, row))
+                        lines.append(f"{name},{label},{values}\n")
                 write_text(layout.metrics_path(target), "".join(lines))
                 # the loop ends on the test split
-                record[target] = {
-                    "test_mse": metrics.mse,
-                    "test_mae_pct": metrics.mae_pct,
-                    "test_rmse_pct": metrics.rmse_pct,
-                }
+                keys = ("test_mse", "test_mae_pct", "test_rmse_pct")
+                record[target] = dict(zip(keys, table[0]))
     return record
 
 
@@ -469,48 +461,41 @@ def report_stage(config, layout):
     with _stage(layout, "report") as record:
         fine_grid = StructuredGrid(config.fine_cells)
         coarse_grid = StructuredGrid(config.coarse_cells)
+        held_out = held_out_indices(config)
 
         # any predicted state asks for all of them, so a partial set fails
         sources = [DIRECT]
         if any(
             layout.state_path(f"coarse_{PREDICTED}", i, part).exists()
-            for i in held_out_indices(config)
+            for i in held_out
             for part in ("p", "u")
         ):
             sources.append(PREDICTED)
 
-        # one load and one assembly of the fine norms per realization
-        reports = {}
-        for index in held_out_indices(config):
-            fields = load_fields(layout, config, index)
-            fine_state = _final_state(
-                layout, config, fine_grid, "fine", index, "solve-fine"
-            )
-            coarse_states = [
-                _final_state(
-                    layout,
-                    config,
-                    coarse_grid,
-                    f"coarse_{source}",
-                    index,
-                    f"solve-coarse --tensors {source}",
-                )
-                for source in sources
-            ]
-            for source, report in zip(
-                sources,
-                error_norms(fine_state, coarse_states, fine_grid, coarse_grid, fields),
-            ):
-                reports[source, index] = report
-        rows = [
-            (config.name, source, index) + reports[source, index]
-            for source in sources
-            for index in held_out_indices(config)
+        # one load and one assembly of the fine norms per realization;
+        # errors[s, k] holds source s on the k-th held-out domain
+        solves = [(fine_grid, "fine", "solve-fine")] + [
+            (coarse_grid, f"coarse_{s}", f"solve-coarse --tensors {s}") for s in sources
         ]
+        errors = np.empty((len(sources), len(held_out), 4))
+        for k, index in enumerate(held_out):
+            fields = load_fields(layout, config, index)
+            fine, *coarse = (
+                _final_state(layout, config, grid, kind, index, command)
+                for grid, kind, command in solves
+            )
+            errors[:, k] = error_norms(fine, coarse, fine_grid, coarse_grid, fields)
 
         csv = ["test,case,realization,e_p_L2,e_p_en,e_u_L2,e_u_en\n"]
-        for test, case, index, *values in rows:
-            csv.append(f"{test},{case},{index}," + ",".join(map(repr, values)) + "\n")
+        cells = "{:>7.3f} {:>8.3f} {:>8.3f} {:>8.3f}".format
+        table, means = [], []
+        for source, block in zip(sources, errors):
+            for index, row in zip(held_out, block.tolist()):
+                values = ",".join(map(repr, row))
+                csv.append(f"{config.name},{source},{index},{values}\n")
+                table.append(f"{source:<12}{index:>10}   " + cells(*row))
+            mean = block.mean(axis=0)
+            means.append(f"{source + ' mean':<22}   " + cells(*mean))
         write_text(layout.errors_csv, "".join(csv))
 
         lines = [
@@ -522,21 +507,11 @@ def report_stage(config, layout):
             "",
             "relative errors of the coarse solution at final time (percent):",
             "case        realization   e_p_L2   e_p_en   e_u_L2   e_u_en",
+            *table,
+            *means,
+            "",
+            "events, per target:",
         ]
-        for row in rows:
-            lines.append(
-                f"{row[1]:<12}{row[2]:>10}   {row[3]:>7.3f} {row[4]:>8.3f} "
-                f"{row[5]:>8.3f} {row[6]:>8.3f}"
-            )
-        for source in sources:
-            block = np.array([row[3:] for row in rows if row[1] == source])
-            mean = block.mean(axis=0)
-            lines.append(
-                f"{source + ' mean':<22}   {mean[0]:>7.3f} {mean[1]:>8.3f} "
-                f"{mean[2]:>8.3f} {mean[3]:>8.3f}"
-            )
-        lines.append("")
-        lines.append("events, per target:")
         for stage, key in (
             ("build-dataset", "degenerate_components"),
             ("predict", "spd_clamped"),
@@ -548,7 +523,7 @@ def report_stage(config, layout):
         timing_lines, speedups = _speedup_block(layout)
         lines.extend("  " + line for line in timing_lines)
         write_text(layout.summary_txt, "\n".join(lines) + "\n")
-        record.update(rows=len(rows), sources=sources, speedups=speedups)
+        record.update(rows=len(table), sources=sources, speedups=speedups)
         record["errors_csv"] = str(layout.errors_csv)
         record["summary_txt"] = str(layout.summary_txt)
     return record

@@ -33,7 +33,7 @@ solve returns two arrays whose rows are the states at t = 0, tau, ...,
 t_max: the nodal pressure P, shape (n_steps + 1, n_nodes), and the
 node-major displacement U, shape (n_steps + 1, d * n_nodes). Relative L2
 and energy error norms compare a fine and a coarse (p, u) row pair at one
-time.
+time, the coarse pair prolongated onto the fine nodes by one sparse matrix.
 """
 
 from dataclasses import dataclass
@@ -194,46 +194,38 @@ def error_norms(fine, coarse_states, fine_grid, coarse_grid, fields):
     """Relative L2 and energy errors of each coarse state, in percent.
 
     ``fine`` and each of ``coarse_states`` is a ``(p, u)`` pair: one row of
-    the P and U arrays of a solve on its grid, at the same time. Each coarse
-    pair is first interpolated onto the fine nodes. Energy norms weight
-    pressure by the fine permeability and displacement by the fine
-    stiffness; these forms are assembled once for all ``coarse_states``.
-    Returns one row ``(e_p L2, e_p energy, e_u L2, e_u energy)`` of floats
-    per coarse state.
+    the P and U arrays of a solve on its grid, at the same time. The coarse
+    pair is prolongated onto the fine nodes; each error is
+    100 sqrt(e.Q e / r.Q r), r the fine state and Q the mass and the fine
+    permeability's diffusion matrix for p, the node-major vector mass and
+    the fine stiffness matrix for u. The prolongation and the four forms
+    are built once per call. Returns one row
+    ``(e_p L2, e_p energy, e_u L2, e_u energy)`` of floats per coarse state.
     """
     d = fine_grid.dimension
     space = P1Space(fine_grid)
     mass = space.assemble_mass(1.0)
-    diffusion = space.assemble_diffusion(np.asarray(fields.perm, dtype=float))
-    stiffness = space.assemble_elasticity(
-        isotropic_stiffness(1.0, fields.eta, d), fields.young
+    forms = (
+        mass,
+        space.assemble_diffusion(np.asarray(fields.perm, dtype=float)),
+        sparse.kron(mass, sparse.identity(d), format="csr"),
+        space.assemble_elasticity(
+            isotropic_stiffness(1.0, fields.eta, d), fields.young
+        ),
     )
+    prolong = coarse_grid.prolongation(fine_grid.node_coords)
 
-    def ratio(err, ref, quad):
-        num = float(err @ (quad @ err))
-        den = float(ref @ (quad @ ref))
-        if den <= 0.0:
-            raise ParameterError("reference solution norm is zero")
-        return 100.0 * float(np.sqrt(num / den))
+    def norms(p, u):
+        return np.array([v @ (Q @ v) for v, Q in zip((p, p, u, u), forms)])
 
     p_f, u_f = fine
-    uf2 = u_f.reshape(-1, d)
-    l2_den = sum(float(uf2[:, c] @ (mass @ uf2[:, c])) for c in range(d))
-    if l2_den <= 0.0:
+    reference = norms(p_f, u_f)
+    if np.any(reference <= 0.0):
         raise ParameterError("reference solution norm is zero")
 
-    points = fine_grid.node_coords
-
     def row(p_c, u_c):
-        dp = p_f - coarse_grid.interpolate(p_c, points)
-        du = u_f - coarse_grid.interpolate(u_c.reshape(-1, d), points).reshape(-1)
-        du2 = du.reshape(-1, d)
-        l2_num = sum(float(du2[:, c] @ (mass @ du2[:, c])) for c in range(d))
-        return (
-            ratio(dp, p_f, mass),
-            ratio(dp, p_f, diffusion),
-            100.0 * float(np.sqrt(l2_num / l2_den)),
-            ratio(du, u_f, stiffness),
-        )
+        dp = p_f - prolong @ p_c
+        du = u_f - (prolong @ u_c.reshape(-1, d)).ravel()
+        return tuple((100.0 * np.sqrt(norms(dp, du) / reference)).tolist())
 
     return [row(p_c, u_c) for p_c, u_c in coarse_states]

@@ -7,8 +7,9 @@ with Adam. Reported metrics use summed error mass in de-scaled units:
     MAE  = 100 * sum |Y - Yhat| / sum |Y|
     RMSE = 100 * sqrt(sum |Y - Yhat|^2 / sum |Y|^2)
 
-both per output component and aggregated over all components. Percentage
-denominators that vanish yield NaN for that component.
+both aggregated over all components and per output component, as the
+rows of one (1 + N_out, 3) array. Percentage denominators that vanish
+yield NaN for that entry.
 """
 
 import logging
@@ -92,18 +93,6 @@ def train(network, train_set, val_set, config):
     return history
 
 
-@dataclass
-class Metrics:
-    """Summed-error metrics, per component and aggregated."""
-
-    mse: float
-    mae_pct: float
-    rmse_pct: float
-    component_mse: np.ndarray
-    component_mae_pct: np.ndarray
-    component_rmse_pct: np.ndarray
-
-
 def _percent_ratio(numerator, denominator):
     out = np.full(np.shape(numerator), np.nan)
     return 100.0 * np.divide(
@@ -112,27 +101,24 @@ def _percent_ratio(numerator, denominator):
 
 
 def compute_metrics(predicted, reference):
+    """Summed-error table, shape (1 + N_out, 3): row 0 aggregates all
+    components, row 1 + j is component j; columns MSE, MAE % and RMSE %."""
     predicted = np.asarray(predicted, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if predicted.shape != reference.shape or predicted.ndim != 2:
         raise ParameterError("metrics need matching (samples, components) arrays")
     diff = predicted - reference
-    sq = (diff**2).sum(axis=0)
-    ab = np.abs(diff).sum(axis=0)
-    ref_sq = (reference**2).sum(axis=0)
-    ref_ab = np.abs(reference).sum(axis=0)
-    return Metrics(
-        mse=float(sq.sum()),
-        mae_pct=float(_percent_ratio(ab.sum(), ref_ab.sum())),
-        rmse_pct=float(np.sqrt(_percent_ratio(sq.sum(), ref_sq.sum()) / 100.0) * 100.0),
-        component_mse=sq,
-        component_mae_pct=_percent_ratio(ab, ref_ab),
-        component_rmse_pct=np.sqrt(_percent_ratio(sq, ref_sq) / 100.0) * 100.0,
+    sums = np.array(
+        [f(x).sum(axis=0) for x in (diff, reference) for f in (np.square, np.abs)]
     )
+    sq, ab, ref_sq, ref_ab = np.column_stack([sums.sum(axis=1), sums])
+    rmse = np.sqrt(_percent_ratio(sq, ref_sq) / 100.0) * 100.0
+    return np.column_stack([sq, _percent_ratio(ab, ref_ab), rmse])
 
 
 def evaluate(network, dataset):
-    """Metrics of the network on a dataset, in de-scaled output units."""
+    """The :func:`compute_metrics` table of the network on a dataset, in
+    de-scaled output units."""
     scaled = network.predict(_batched_input(dataset))
     predicted = dataset.scaler.unscale_output(scaled)
     reference = dataset.scaler.unscale_output(dataset.Y)

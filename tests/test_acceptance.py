@@ -397,9 +397,9 @@ def test_criterion_09_determinism(criterion, tmp_path):
 
 def test_criterion_10_metric_formulas(criterion):
     metrics = compute_metrics(np.array([[1.0, 1.0]]), np.array([[2.0, 0.0]]))
-    mse_err = abs(metrics.mse - 2.0)
-    mae_err = abs(metrics.mae_pct - 100.0)
-    rmse_err = abs(metrics.rmse_pct - 100.0 * np.sqrt(0.5))
+    mse_err = abs(metrics[0, 0] - 2.0)
+    mae_err = abs(metrics[0, 1] - 100.0)
+    rmse_err = abs(metrics[0, 2] - 100.0 * np.sqrt(0.5))
     ok = criterion(
         10,
         mse_err <= 1e-12 and mae_err <= 1e-12 and rmse_err <= 1e-12,

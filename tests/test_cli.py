@@ -18,7 +18,7 @@ from poroscale.config import (
     load_config,
     load_preset,
 )
-from poroscale.dataset import SplitSpec, load_scaler
+from poroscale.dataset import SplitSpec, load_dataset, load_scaler, split
 from poroscale.errors import ParameterError
 from poroscale.grid import StructuredGrid
 from poroscale.pipeline import (
@@ -30,7 +30,7 @@ from poroscale.pipeline import (
 from poroscale.poro import PoroConstants, TimeSteppingConfig, error_norms
 from poroscale.random_field import CovarianceSpec, PropertyParams
 from poroscale.surrogate.network import load_network, save_network
-from poroscale.surrogate.training import TrainConfig
+from poroscale.surrogate.training import TrainConfig, evaluate
 
 
 def save_config(config, path):
@@ -373,6 +373,23 @@ def test_datasets_of_another_target_are_an_error(capsys, tmp_path):
     )
 
 
+def assert_summary_rounds_the_errors(layout, sources):
+    """The error table of summary.txt is errors.csv to 3 decimals, one line
+    per row, then one line per source with the mean of its rows."""
+    lines = layout.errors_csv.read_text(encoding="utf-8").splitlines()[1:]
+    rows = [line.split(",")[1:] for line in lines]
+    rows = [[case, index, *map(float, values)] for case, index, *values in rows]
+    means = [
+        [source, "mean", *np.mean([r[2:] for r in rows if r[0] == source], axis=0)]
+        for source in sources
+    ]
+    summary = layout.summary_txt.read_text(encoding="utf-8").splitlines()
+    header = "case        realization   e_p_L2   e_p_en   e_u_L2   e_u_en"
+    start = summary.index(header) + 1
+    table = [line.split() for line in summary[start : summary.index("", start)]]
+    assert table == [row[:2] + [f"{v:.3f}" for v in row[2:]] for row in rows + means]
+
+
 def test_mini_pipeline_end_to_end(capsys, tmp_path):
     argv = ["--preset", "desk-mini", "--workdir", str(tmp_path)]
     stages = [
@@ -388,6 +405,7 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
         ["report"],
     ]
     layout = RunLayout(tmp_path)
+    config = load_preset("desk-mini")
     for stage in stages:
         assert main(stage + argv) == 0, stage
         out = capsys.readouterr().out
@@ -419,8 +437,22 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
         assert len(loss) == 3  # header + one row per epoch
         metrics = layout.metrics_path(target).read_text(encoding="utf-8").splitlines()
         assert metrics[0] == "split,component,mse,mae_pct,rmse_pct"
-        splits = {line.split(",")[0] for line in metrics[1:]}
-        assert splits == {"train", "val", "test"}
+        # per split, the table of evaluate: all components, then each one
+        network = load_network(layout.model_path(target))
+        ds = load_dataset(layout.dataset_path(target))
+        parts = split(ds, config.split)
+        labels = ["all"] + [str(j) for j in range(ds.n_out)]
+        rows = [line.split(",") for line in metrics[1:]]
+        expected = []
+        for name in ("train", "val", "test"):
+            table = evaluate(network, parts[name])
+            assert table.shape == (len(labels), 3)
+            expected += [[name, label, *row] for label, row in zip(labels, table)]
+        assert [row[:2] for row in rows] == [row[:2] for row in expected]
+        np.testing.assert_array_equal(
+            [list(map(float, row[2:])) for row in rows],
+            [row[2:] for row in expected],
+        )
 
     for kind in ("fine", "coarse_direct", "coarse_predicted"):
         for part in ("p", "u"):
@@ -432,7 +464,6 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
     assert errors[0] == "test,case,realization,e_p_L2,e_p_en,e_u_L2,e_u_en"
     # each row is error_norms over the last rows of the stored state files,
     # sources outer and held-out realizations inner
-    config = load_preset("desk-mini")
     fine_grid = StructuredGrid(config.fine_cells)
     coarse_grid = StructuredGrid(config.coarse_cells)
 
@@ -459,6 +490,7 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
     summary = layout.summary_txt.read_text(encoding="utf-8")
     assert "speedup" in summary
     assert "x76 to x289" in summary
+    assert_summary_rounds_the_errors(layout, ["direct", "predicted"])
     homogenize = json.loads(layout.timing_path("homogenize").read_text("utf-8"))
     assert homogenize["engine_setup_s"] > 0.0
     for key in ("factor_fill", "bandwidth"):
@@ -470,9 +502,9 @@ def test_mini_pipeline_end_to_end(capsys, tmp_path):
         assert steps > 0
         seconds = trained["offline_train_s"][target]
         assert trained["mean_step_s"][target] == pytest.approx(seconds / steps)
-    evaluate = json.loads(layout.timing_path("evaluate").read_text("utf-8"))
-    assert set(evaluate["per_target_s"]) == {"permeability", "elasticity"}
-    assert evaluate["total_s"] >= sum(evaluate["per_target_s"].values()) > 0.0
+    evaluated = json.loads(layout.timing_path("evaluate").read_text("utf-8"))
+    assert set(evaluated["per_target_s"]) == {"permeability", "elasticity"}
+    assert evaluated["total_s"] >= sum(evaluated["per_target_s"].values()) > 0.0
     report = json.loads(layout.timing_path("report").read_text("utf-8"))
     assert report["stage"] == "report" and report["total_s"] > 0.0
 
@@ -508,6 +540,7 @@ def test_clamps_and_degenerate_ranges_reach_the_summary(capsys, tmp_path):
         scaler = load_scaler(layout.dataset_path(target))
         ranges = [scaler.input_degenerate, *scaler.output_degenerate]
         assert degenerate[target] == sum(ranges)
+    assert_summary_rounds_the_errors(layout, ["direct"])
     summary = layout.summary_txt.read_text(encoding="utf-8").splitlines()
     events = (("spd_clamped", clamped), ("degenerate_components", degenerate))
     for key, counts in events:

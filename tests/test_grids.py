@@ -1,4 +1,4 @@
-"""Structured simplicial grid geometry and interpolation."""
+"""Structured simplicial grid geometry and the P1 prolongation matrix."""
 
 from itertools import permutations
 
@@ -82,7 +82,8 @@ def reference_tet_weights(grid, cell_idx, xi):
     return weights, corners
 
 
-def reference_interpolate(grid, values, points):
+def reference_prolongation(grid, points):
+    """Dense (n_points, n_nodes) matrix of the per-dimension weights."""
     cells = np.array(grid.cells_per_axis)
     scaled = np.clip(points * cells, 0.0, cells - 1e-12)
     cell_idx = np.minimum(scaled.astype(np.int64), cells - 1)
@@ -91,7 +92,9 @@ def reference_interpolate(grid, values, points):
         weights, corners = reference_tri_weights(grid, cell_idx, xi)
     else:
         weights, corners = reference_tet_weights(grid, cell_idx, xi)
-    return np.einsum("pk,pk...->p...", weights, values[corners])
+    dense = np.zeros((len(points), grid.n_nodes))
+    np.put_along_axis(dense, corners, weights, axis=1)
+    return dense
 
 
 def interpolation_points(grid, rng):
@@ -133,23 +136,19 @@ def test_faces_match_the_per_dimension_tables(cells):
 @pytest.mark.parametrize("cells", [(2, 3, 4), (5, 5, 5), (3, 1, 2)])
 def test_3d_interpolation_is_bit_equal_to_the_tetrahedron_formula(cells):
     g = StructuredGrid(cells)
-    rng = np.random.default_rng(17)
-    pts = interpolation_points(g, rng)
-    for values in (rng.normal(size=g.n_nodes), rng.normal(size=(g.n_nodes, 3))):
-        expected = reference_interpolate(g, values, pts)
-        assert_array_equal(g.interpolate(values, pts), expected)
+    pts = interpolation_points(g, np.random.default_rng(17))
+    P = g.prolongation(pts)
+    assert P.shape == (len(pts), g.n_nodes)
+    assert_array_equal(P.toarray(), reference_prolongation(g, pts))
 
 
 @pytest.mark.parametrize("cells", [(1, 1), (3, 2), (4, 7), (8, 8)])
 def test_2d_interpolation_matches_the_triangle_formula(cells):
-    # the upper triangle's three terms are summed in another order
     g = StructuredGrid(cells)
-    rng = np.random.default_rng(19)
-    pts = interpolation_points(g, rng)
-    for values in (rng.normal(size=g.n_nodes), rng.normal(size=(g.n_nodes, 2))):
-        bound = 4.0 * np.finfo(float).eps * np.abs(values).max()
-        diff = g.interpolate(values, pts) - reference_interpolate(g, values, pts)
-        assert np.abs(diff).max() <= bound
+    pts = interpolation_points(g, np.random.default_rng(19))
+    P = g.prolongation(pts)
+    assert P.shape == (len(pts), g.n_nodes)
+    assert_array_equal(P.toarray(), reference_prolongation(g, pts))
 
 
 def test_node_counts():
@@ -272,7 +271,7 @@ def test_interpolate_affine_exact(cells):
     values = g.node_coords @ coeff + 0.7
     pts = rng.uniform(0.0, 1.0, size=(200, g.dimension))
     exact = pts @ coeff + 0.7
-    assert np.allclose(g.interpolate(values, pts), exact, atol=1e-12)
+    assert np.allclose(g.prolongation(pts) @ values, exact, atol=1e-12)
 
 
 @pytest.mark.parametrize("cells", [(3, 3), (2, 3, 2)])
@@ -280,7 +279,7 @@ def test_interpolate_at_nodes_and_vector_values(cells):
     g = StructuredGrid(cells)
     rng = np.random.default_rng(11)
     values = rng.normal(size=(g.n_nodes, 2))
-    out = g.interpolate(values, g.node_coords)
+    out = g.prolongation(g.node_coords) @ values
     assert np.allclose(out, values, atol=1e-12)
 
 
@@ -289,7 +288,7 @@ def test_interpolate_clips_to_domain(cells):
     g = StructuredGrid(cells)
     values = g.node_coords[:, 0]
     rest = [0.5] * (g.dimension - 1)
-    out = g.interpolate(values, np.array([[1.0 + 1e-9] + rest, [-1e-9] + rest]))
+    out = g.prolongation(np.array([[1.0 + 1e-9] + rest, [-1e-9] + rest])) @ values
     assert np.allclose(out, [1.0, 0.0], atol=1e-8)
 
 
@@ -321,6 +320,3 @@ def test_invalid_grids():
         StructuredGrid((2, 2, 2, 2))
     with pytest.raises(ParameterError):
         StructuredGrid((0, 3))
-    g = StructuredGrid((2, 2))
-    with pytest.raises(ParameterError):
-        g.interpolate(np.zeros(5), np.zeros((1, 2)))

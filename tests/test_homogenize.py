@@ -373,9 +373,10 @@ def test_band_layout(cells):
     assert np.array_equal(op.interior, order[inside[order]])
     # number the slots of the pattern 1, 2, ...; the band must hold the
     # slot of every lower entry of A_II at its banded position
-    n, n_i = op.pattern[1].size - 1, op.interior.size
+    indptr, indices, _ = grid.node_pattern
+    n, n_i = grid.n_nodes, op.interior.size
     slots = sparse.csr_matrix(
-        (np.arange(1.0, op.pattern[0].size + 1), *op.pattern), shape=(n, n)
+        (np.arange(1.0, indices.size + 1), indices, indptr), shape=(n, n)
     )
     A_ii = slots[op.interior][:, op.interior].toarray()
     ab = np.zeros((op.kd + 1, n_i), order="F")

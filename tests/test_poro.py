@@ -193,6 +193,62 @@ def test_error_norms_scaling_anchor():
     assert all(isinstance(v, float) for v in report)
 
 
+def reference_error_rows(fine, coarse_states, fine_grid, coarse_grid, fields):
+    """The earlier error formulas: one ratio per quadratic form, and the
+    displacement L2 error summed over its components."""
+    d = fine_grid.dimension
+    space = P1Space(fine_grid)
+    mass = space.assemble_mass(1.0)
+    diffusion = space.assemble_diffusion(fields.perm)
+    stiffness = space.assemble_elasticity(
+        isotropic_stiffness(1.0, fields.eta, d), fields.young
+    )
+    prolong = coarse_grid.prolongation(fine_grid.node_coords)
+
+    def ratio(err, ref, quad):
+        return 100.0 * np.sqrt((err @ (quad @ err)) / (ref @ (quad @ ref)))
+
+    def l2(u):
+        u2 = u.reshape(-1, d)
+        return sum(float(u2[:, c] @ (mass @ u2[:, c])) for c in range(d))
+
+    p_f, u_f = fine
+    rows = []
+    for p_c, u_c in coarse_states:
+        dp = p_f - prolong @ p_c
+        du = u_f - (prolong @ u_c.reshape(-1, d)).ravel()
+        e_p = (ratio(dp, p_f, mass), ratio(dp, p_f, diffusion))
+        e_u_l2 = 100.0 * np.sqrt(l2(du) / l2(u_f))
+        rows.append(e_p + (e_u_l2, ratio(du, u_f, stiffness)))
+    return rows
+
+
+@pytest.mark.parametrize("cells", [(8, 8), (4, 4, 4)], ids=["2d", "3d"])
+def test_error_norms_match_the_per_component_formulas(cells):
+    fine = StructuredGrid(cells)
+    coarse = StructuredGrid(tuple(n // 2 for n in cells))
+    d = fine.dimension
+    fields = lognormal_fields(fine, 0.5, seed=8)
+    rng = np.random.default_rng(9)
+    fine_state = (rng.normal(size=fine.n_nodes), rng.normal(size=d * fine.n_nodes))
+    coarse_states = [
+        (rng.normal(size=coarse.n_nodes), rng.normal(size=d * coarse.n_nodes))
+        for _ in range(2)
+    ]
+    got = error_norms(fine_state, coarse_states, fine, coarse, fields)
+    want = reference_error_rows(fine_state, coarse_states, fine, coarse, fields)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_error_norms_reject_a_zero_reference():
+    grid = StructuredGrid((4, 4))
+    fields = uniform_fields(grid)
+    n = grid.n_nodes
+    for fine in ((np.zeros(n), np.ones(2 * n)), (np.ones(n), np.zeros(2 * n))):
+        with pytest.raises(ParameterError, match="norm is zero"):
+            error_norms(fine, [fine], grid, grid, fields)
+
+
 def test_coarse_refinement_reduces_error():
     fine = StructuredGrid((80, 80))
     rng = np.random.default_rng(77)

@@ -843,14 +843,16 @@ def test_train_config_validation():
 
 def test_metric_anchor_values():
     m = compute_metrics(np.array([[1.0, 1.0]]), np.array([[2.0, 0.0]]))
-    assert abs(m.mse - 2.0) < 1e-12
-    assert abs(m.mae_pct - 100.0) < 1e-12
-    assert abs(m.rmse_pct - 100.0 * np.sqrt(0.5)) < 1e-12
-    np.testing.assert_allclose(m.component_mse, [1.0, 1.0])
+    # row 0 aggregates, row 1 + j is component j; columns MSE, MAE %, RMSE %
+    assert m.shape == (3, 3)
+    assert abs(m[0, 0] - 2.0) < 1e-12
+    assert abs(m[0, 1] - 100.0) < 1e-12
+    assert abs(m[0, 2] - 100.0 * np.sqrt(0.5)) < 1e-12
+    np.testing.assert_allclose(m[1:, 0], [1.0, 1.0])
     # zero reference mass in the second component yields NaN there
-    assert abs(m.component_mae_pct[0] - 50.0) < 1e-12
-    assert np.isnan(m.component_mae_pct[1])
-    assert np.isnan(m.component_rmse_pct[1])
+    assert abs(m[1, 1] - 50.0) < 1e-12
+    assert np.isnan(m[2, 1])
+    assert np.isnan(m[2, 2])
 
 
 def test_metrics_reject_bad_shapes():
@@ -880,8 +882,8 @@ def test_evaluate_reports_descaled_units():
     predicted = ds.scaler.unscale_output(net.forward(ds.X[:, None, :, :]))
     reference = ds.scaler.unscale_output(ds.Y)
     want = compute_metrics(predicted, reference)
-    assert got.mse == want.mse
-    assert got.rmse_pct == want.rmse_pct
+    assert got[0, 0] == want[0, 0]
+    assert got[0, 2] == want[0, 2]
 
 
 def test_clamp_spd_repairs_indefinite_matrices():
