@@ -9,7 +9,6 @@ print a diagnostic to stderr and exit nonzero.
 import argparse
 import dataclasses
 import json
-import logging
 import sys
 
 from .config import PRESET_NAMES, load_config, load_preset
@@ -96,9 +95,6 @@ def resolve_config(args):
 
 
 def main(argv=None):
-    logging.basicConfig(
-        level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
-    )
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)

@@ -25,10 +25,10 @@ A dataset is stored as a directory of NHAR array files
     ids.nhar      (L, 2)              realization id, cell id
     scaler.nhar   (2, 1 + N_out)      minima, then maxima: input, outputs
 
-``scaler.nhar`` alone is enough to scale new inputs (:func:`load_scaler`).
+A :class:`Scaler` is the ``scaler.nhar`` table itself, and that member
+alone is enough to scale new inputs (:func:`load_scaler`).
 """
 
-import logging
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -38,8 +38,6 @@ from .arrayio import read_member, write_members
 from .elasticity import n_strain_components, upper_triangle
 from .errors import FormatError, ParameterError
 from .homogenize import cell_windows
-
-logger = logging.getLogger(__name__)
 
 TARGET_PERMEABILITY = "permeability"
 TARGET_ELASTICITY = "elasticity"
@@ -64,45 +62,32 @@ def target_components(target, d):
 
 @dataclass
 class Scaler:
-    """Min-max ranges of the raw dataset; inverse recovers raw values.
-
-    Degenerate (zero-range) components scale to 0 and un-scale to their
-    constant value.
+    """Min-max ranges of the raw dataset as the stored (2, 1 + N_out) table:
+    minima, then maxima; column 0 the input, then one per output component.
+    Degenerate (empty) ranges scale to 0 and un-scale to their constant value.
     """
 
-    input_min: float
-    input_max: float
-    output_min: np.ndarray
-    output_max: np.ndarray
+    table: np.ndarray
 
     @property
-    def input_degenerate(self):
-        return self.input_max <= self.input_min
+    def degenerate(self):
+        return self.table[1] <= self.table[0]
 
-    @property
-    def output_degenerate(self):
-        return self.output_max <= self.output_min
+    def _scale(self, values, columns):
+        (lo, hi), empty = self.table[:, columns], self.degenerate[columns]
+        scaled = (np.asarray(values, dtype=float) - lo) / np.where(empty, 1.0, hi - lo)
+        return np.where(empty, 0.0, scaled)
 
     def scale_input(self, values):
-        values = np.asarray(values, dtype=float)
-        if self.input_degenerate:
-            return np.zeros_like(values)
-        return (values - self.input_min) / (self.input_max - self.input_min)
+        return self._scale(values, 0)
 
     def scale_output(self, values):
-        values = np.asarray(values, dtype=float)
-        span = np.where(
-            self.output_degenerate, 1.0, self.output_max - self.output_min
-        )
-        scaled = (values - self.output_min) / span
-        return np.where(self.output_degenerate, 0.0, scaled)
+        return self._scale(values, slice(1, None))
 
     def unscale_output(self, values):
+        lo, hi = self.table[:, 1:]
         values = np.asarray(values, dtype=float)
-        span = self.output_max - self.output_min
-        return np.where(
-            self.output_degenerate, self.output_min, self.output_min + values * span
-        )
+        return np.where(self.degenerate[1:], lo, lo + values * (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -193,14 +178,7 @@ def build_dataset(fine_grid, coarse_cells, realizations, tensors, target):
     values = [getattr(f, spec.field) for f in realizations]
     X = np.concatenate([patch_input_array(fine_grid, coarse_cells, v) for v in values])
     Y = upper_triangle(np.concatenate([getattr(eff, spec.tensor) for eff in tensors]))
-    scaler = Scaler(float(X.min()), float(X.max()), Y.min(axis=0), Y.max(axis=0))
-    if scaler.input_degenerate:
-        logger.warning("input range is degenerate; inputs scaled to 0")
-    if np.any(scaler.output_degenerate):
-        logger.warning(
-            "%d output components are degenerate and scale to 0",
-            int(np.count_nonzero(scaler.output_degenerate)),
-        )
+    scaler = Scaler(np.array([np.r_[X.min(), Y.min(0)], np.r_[X.max(), Y.max(0)]]))
     n_real = len(realizations)
     return Dataset(
         X=scaler.scale_input(X),
@@ -232,12 +210,11 @@ def split(dataset, spec=SplitSpec()):
 
 def save_dataset(dataset, path):
     """Write the dataset's member arrays into the directory ``path``."""
-    s = dataset.scaler
     members = {
         "inputs": dataset.X,
         "outputs": dataset.Y,
         "ids": np.stack([dataset.realization, dataset.cell], axis=1),
-        "scaler": [np.r_[s.input_min, s.output_min], np.r_[s.input_max, s.output_max]],
+        "scaler": dataset.scaler.table,
     }
     write_members(path, members)
 
@@ -249,16 +226,17 @@ def _bad_member(path, name, shape, expected):
 
 
 def load_scaler(path):
-    """The scaler of the dataset stored in ``path``, read on its own."""
-    values = read_member(path, "scaler")
-    if values.ndim != 2 or values.shape[0] != 2 or values.shape[1] < 2:
-        raise _bad_member(path, "scaler", values.shape, "(2, 1 + N_out)")
-    return Scaler(
-        input_min=float(values[0, 0]),
-        input_max=float(values[1, 0]),
-        output_min=values[0, 1:].copy(),
-        output_max=values[1, 1:].copy(),
-    )
+    """The scaler of the dataset stored in ``path``, read on its own; its
+    table must be finite, with no maximum below its minimum."""
+    table = read_member(path, "scaler")
+    if table.ndim != 2 or table.shape[0] != 2 or table.shape[1] < 2:
+        raise _bad_member(path, "scaler", table.shape, "(2, 1 + N_out)")
+    if not np.isfinite(table).all() or (table[1] < table[0]).any():
+        raise FormatError(
+            f"{path}: dataset member scaler.nhar must be finite, with no "
+            f"maximum below its minimum; got {table.tolist()}"
+        )
+    return Scaler(table)
 
 
 def load_dataset(path):
@@ -267,7 +245,7 @@ def load_dataset(path):
     X = read_member(path, "inputs")
     Y = read_member(path, "outputs")
     ids = read_member(path, "ids")
-    total, d, n_out = len(X), X.ndim - 1, scaler.output_min.size
+    total, d, n_out = len(X), X.ndim - 1, scaler.table.shape[1] - 1
     if d not in (2, 3) or len(set(X.shape[1:])) != 1:
         raise _bad_member(path, "inputs", X.shape, "(L, N_l, ..., N_l), d = 2 or 3")
     for name, values, shape, source in (

@@ -252,8 +252,7 @@ def build_dataset_stage(config, layout):
             save_dataset(ds, layout.dataset_path(target))
             record.put("sizes", target, len(ds))
             # the input range and each output component that scale to 0
-            degenerate = [ds.scaler.input_degenerate, *ds.scaler.output_degenerate]
-            record.put("degenerate_components", target, int(np.sum(degenerate)))
+            record.put("degenerate_components", target, int(ds.scaler.degenerate.sum()))
     return record
 
 
@@ -310,10 +309,10 @@ def load_models(layout, config):
                 "`poroscale train` again"
             )
         scaler = scalers[target] = load_scaler(layout.dataset_path(target))
-        if scaler.output_min.size != expected[2]:
+        if scaler.table.shape[1] - 1 != expected[2]:
             raise PipelineError(
                 f"{layout.dataset_path(target)} holds a scaler of "
-                f"{scaler.output_min.size} outputs, the {target} target needs "
+                f"{scaler.table.shape[1] - 1} outputs, the {target} target needs "
                 f"{expected[2]}; run `poroscale build-dataset`, then "
                 "`poroscale train` again"
             )

@@ -29,6 +29,8 @@ and index tuples a pass would otherwise rebuild, and no array (0 B). The
 zero-bordered input it describes, 14^3 * 8 B = 22 kB and 16 * 8^3 * 8 B =
 66 kB per sample for the two 3D layers, lives only during a forward pass,
 since a kept one would add to the high-water mark of every later stage.
+So does the index of one sample's window positions that gathers the column
+matrix from it, as large as one sample's columns (0.37 MB and 0.75 MB).
 """
 
 from functools import reduce
@@ -104,7 +106,7 @@ class Conv:
             shape=shape,
             padded=padded,
             inner=(slice(None),) + tuple(slice(p, p + n) for n in spatial),
-            windows=shape[:1] + spatial + shape[1:2] + (KERNEL,) * d,
+            windows=spatial + shape[1:2] + (KERNEL,) * d,
             col2im=col2im,
         )
         return plan
@@ -112,21 +114,31 @@ class Conv:
     def _columns(self, x, plan):
         """(batch * spatial, in_ch * k^d) windows of the zero-bordered input.
 
-        The input is bordered channels-last, so its window view already runs
-        (batch, *spatial, ch, *kernel) and one reshape copies it.
+        The input is bordered channels-last, so the window view of one
+        sample's flat positions already runs (*spatial, ch, *kernel). One
+        gather by those positions copies every sample's windows; a copy
+        through the window view itself would run in strided steps of k.
         """
         padded = np.zeros(plan.padded)
         padded[plan.inner] = x.transpose(CHANNELS_LAST[self.dim])
+        positions = np.arange(prod(plan.padded[1:])).reshape(plan.padded[1:])
         # a window offset steps like the spatial axis it runs along
-        strides = padded.strides + padded.strides[1 : 1 + self.dim]
-        windows = np.ndarray(plan.windows, buffer=padded, strides=strides)
-        return windows.reshape(x.shape[0] * prod(x.shape[2:]), -1)
+        strides = positions.strides + positions.strides[: self.dim]
+        windows = np.ndarray(
+            plan.windows, dtype=positions.dtype, buffer=positions, strides=strides
+        )
+        index = windows.reshape(prod(plan.shape[2:]), -1)
+        cols = np.take(padded.reshape(len(x), -1), index, axis=1)
+        return cols.reshape(-1, index.shape[1])
 
     def forward(self, x, train=False, rng=None):
         self._cols = None  # dead now: free it before the next one is made
         self._cols = self._columns(x, self._plan_for(x.shape))
         out = self._cols @ self.weight.reshape(self.bias.size, -1).T
-        out += self.bias
+        # the bias tiled over one sample adds in runs of spatial * out_ch, not
+        # of out_ch (a view: out is a fresh C-order product)
+        per_sample = out.reshape(len(x), -1)
+        per_sample += np.tile(self.bias, prod(x.shape[2:]))
         # (batch, *spatial, out_ch) in memory, seen as (batch, out_ch, *spatial)
         out = out.reshape(x.shape[:1] + x.shape[2:] + (-1,))
         return out.transpose(CHANNELS_FIRST[self.dim])

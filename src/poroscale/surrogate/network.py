@@ -240,5 +240,7 @@ def load_network(path):
             f"{path}: model member weights.nhar has shape {weights.shape}, "
             f"expected {network.flat_params.shape} for the architecture {arch.tolist()}"
         )
+    if not np.isfinite(weights).all():
+        raise FormatError(f"{path}: model member weights.nhar is not finite")
     network.flat_params[...] = weights
     return network

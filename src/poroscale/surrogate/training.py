@@ -10,9 +10,11 @@ with Adam. Reported metrics use summed error mass in de-scaled units:
 both aggregated over all components and per output component, as the
 rows of one (1 + N_out, 3) array. Percentage denominators that vanish
 yield NaN for that entry.
+
+SPD clamps are counted, not logged: :func:`predict_effective` returns the
+count, which the predict stage records as ``spd_clamped``.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +22,6 @@ import numpy as np
 from ..elasticity import from_upper_triangle
 from ..errors import NumericError, ParameterError
 from .network import DEFAULT_DROPOUT, Adam
-
-logger = logging.getLogger(__name__)
 
 SPD_FLOOR = 1e-10
 
@@ -147,17 +147,10 @@ def predict_effective(network, x_scaled, scaler):
     ``x_scaled`` is (n, N_l, ...) in scaled units. Each row of N_out outputs
     is the upper triangle of one m x m tensor, N_out = m(m+1)/2, so the
     width alone gives m: (n, d, d) permeability or (n, m, m) stiffness
-    tensors. Returns the tensors, eigenvalue-clamped when a prediction
-    drifts out of the SPD cone, and the number of them that were clamped.
+    tensors. Returns :func:`clamp_spd` of them: the tensors,
+    eigenvalue-clamped when a prediction drifts out of the SPD cone, and
+    the number that were clamped, for the caller to record.
     """
     x_scaled = np.asarray(x_scaled, dtype=float)
     rows = scaler.unscale_output(network.predict(x_scaled[:, None, ...]))
-    mats = from_upper_triangle(rows)
-    fixed, n_clamped = clamp_spd(mats)
-    if n_clamped:
-        logger.warning(
-            "%d of %d predicted %d x %d tensors were clamped to the SPD cone",
-            n_clamped,
-            *mats.shape,
-        )
-    return fixed, n_clamped
+    return clamp_spd(from_upper_triangle(rows))

@@ -373,6 +373,38 @@ def test_datasets_of_another_target_are_an_error(capsys, tmp_path):
     )
 
 
+def nan_first(values):
+    values.flat[0] = np.nan
+
+
+def invert_first_output(table):
+    table[1, 1] = table[0, 1] - 1.0
+
+
+@pytest.mark.parametrize(
+    "member, corrupt, message",
+    [
+        ("datasets/permeability/scaler", nan_first, "scaler.nhar must be finite"),
+        ("datasets/permeability/scaler", invert_first_output, "no maximum below"),
+        ("models/permeability/weights", nan_first, "weights.nhar is not finite"),
+    ],
+    ids=["scaler-nan", "scaler-inverted", "weights-nan"],
+)
+def test_corrupt_surrogate_members_stop_predict(
+    capsys, tmp_path, member, corrupt, message
+):
+    argv = train_desk_mini(tmp_path)
+    path = tmp_path / f"{member}.nhar"
+    values = read_array(path)
+    corrupt(values)
+    write_array(path, values)
+    capsys.readouterr()
+    assert main(["predict"] + argv) == 1
+    err = capsys.readouterr().err
+    assert f"{path.parent}: " in err and message in err
+    assert not RunLayout(tmp_path).tensor_path(2, "perm", "predicted").exists()
+
+
 def assert_summary_rounds_the_errors(layout, sources):
     """The error table of summary.txt is errors.csv to 3 decimals, one line
     per row, then one line per source with the mean of its rows."""
@@ -538,8 +570,7 @@ def test_clamps_and_degenerate_ranges_reach_the_summary(capsys, tmp_path):
     degenerate = built["degenerate_components"]
     for target in ("permeability", "elasticity"):
         scaler = load_scaler(layout.dataset_path(target))
-        ranges = [scaler.input_degenerate, *scaler.output_degenerate]
-        assert degenerate[target] == sum(ranges)
+        assert degenerate[target] == scaler.degenerate.sum()
     assert_summary_rounds_the_errors(layout, ["direct"])
     summary = layout.summary_txt.read_text(encoding="utf-8").splitlines()
     events = (("spd_clamped", clamped), ("degenerate_components", degenerate))

@@ -26,12 +26,7 @@ from poroscale.random_field import PropertyFields
 
 def small_dataset(n=10, n_l=4, d=2, n_out=3, seed=0):
     rng = np.random.default_rng(seed)
-    scaler = Scaler(
-        input_min=0.0,
-        input_max=1.0,
-        output_min=np.zeros(n_out),
-        output_max=np.ones(n_out),
-    )
+    scaler = Scaler(np.array([np.zeros(1 + n_out), np.ones(1 + n_out)]))
     return Dataset(
         X=rng.random(size=(n,) + (n_l,) * d),
         Y=rng.random(size=(n, n_out)),
@@ -59,12 +54,9 @@ def test_split_size_anchors():
 
 def test_scaler_round_trip():
     rng = np.random.default_rng(2)
-    scaler = Scaler(
-        input_min=-1.5,
-        input_max=4.0,
-        output_min=np.array([0.1, -2.0, 5.0]),
-        output_max=np.array([0.9, 3.0, 5.0]),  # last component degenerate
-    )
+    # input, then three outputs; the last output is degenerate
+    scaler = Scaler(np.array([[-1.5, 0.1, -2.0, 5.0], [4.0, 0.9, 3.0, 5.0]]))
+    assert scaler.degenerate.tolist() == [False, False, False, True]
     x = rng.uniform(-1.5, 4.0, size=(6, 4, 4))
     scaled = scaler.scale_input(x)
     assert scaled.min() >= 0.0 and scaled.max() <= 1.0
@@ -76,9 +68,52 @@ def test_scaler_round_trip():
     assert np.allclose(back, y, atol=1e-12)
 
 
+def reference_scaling(table, x, y, scaled_y):
+    """The scaling formulas over separate input and output ranges:
+    (scale_input(x), scale_output(y), unscale_output(scaled_y))."""
+    input_min, input_max = float(table[0, 0]), float(table[1, 0])
+    output_min, output_max = table[0, 1:].copy(), table[1, 1:].copy()
+    if input_max <= input_min:
+        sx = np.zeros_like(x)
+    else:
+        sx = (x - input_min) / (input_max - input_min)
+    empty = output_max <= output_min
+    span = np.where(empty, 1.0, output_max - output_min)
+    sy = np.where(empty, 0.0, (y - output_min) / span)
+    span = output_max - output_min
+    back = np.where(empty, output_min, output_min + scaled_y * span)
+    return sx, sy, back
+
+
+@pytest.mark.parametrize("n_out", range(1, 22))
+def test_scaling_is_bit_equal_to_the_reference(n_out):
+    rng = np.random.default_rng(100 + n_out)
+    for trial in range(4):
+        lo = rng.normal(scale=10.0, size=1 + n_out)
+        hi = lo + rng.exponential(size=1 + n_out)
+        empty = rng.random(1 + n_out) < 0.3
+        empty[0] = trial % 2 == 1  # an empty input range every other trial
+        hi[empty] = lo[empty]
+        if trial >= 2:
+            # a component that is constantly -0.0 unscales to -0.0
+            lo[-1] = hi[-1] = -0.0
+        table = np.array([lo, hi])
+        x = rng.normal(scale=10.0, size=(5, 4, 4))
+        y = rng.normal(scale=10.0, size=(7, n_out))
+        scaled_y = rng.random(size=(7, n_out))
+        scaler = Scaler(table.copy())
+        got = (
+            scaler.scale_input(x),
+            scaler.scale_output(y),
+            scaler.unscale_output(scaled_y),
+        )
+        for new, old in zip(got, reference_scaling(table, x, y, scaled_y)):
+            assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
 def test_degenerate_input_range():
-    scaler = Scaler(2.0, 2.0, np.zeros(1), np.ones(1))
-    assert scaler.input_degenerate
+    scaler = Scaler(np.array([[2.0, 0.0], [2.0, 1.0]]))
+    assert scaler.degenerate.tolist() == [True, False]
     assert np.allclose(scaler.scale_input(np.full(5, 2.0)), 0.0)
 
 
@@ -144,7 +179,7 @@ def test_build_dataset_order_and_scaling():
     raw_min = min(
         f.perm.reshape(9, 9)[:8, :8].min() for f in realizations
     )
-    assert ds.scaler.input_min == pytest.approx(raw_min)
+    assert ds.scaler.table[0, 0] == pytest.approx(raw_min)
     # scaled targets de-scale to the stored upper triangles
     back = ds.scaler.unscale_output(ds.Y)
     k0 = tensors[1].perm[2]
@@ -161,7 +196,7 @@ def test_build_dataset_input_validation():
 def test_save_load_round_trip(tmp_path):
     for d, n_out in ((2, 3), (3, 21)):
         ds = small_dataset(n=17, d=d, n_out=n_out, seed=11)
-        ds.scaler.output_min = np.linspace(-1.0, 0.5, n_out)
+        ds.scaler.table[0, 1:] = np.linspace(-1.0, 0.5, n_out)
         path = tmp_path / f"set{d}"
         save_dataset(ds, path)
         members = sorted(p.name for p in path.iterdir())
@@ -176,21 +211,39 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(back.realization, ds.realization)
         assert np.array_equal(back.cell, ds.cell)
         assert back.realization.dtype == back.cell.dtype == np.int64
-        assert back.scaler.input_min == ds.scaler.input_min
-        assert back.scaler.input_max == ds.scaler.input_max
-        assert np.array_equal(back.scaler.output_min, ds.scaler.output_min)
-        assert np.array_equal(back.scaler.output_max, ds.scaler.output_max)
+        assert np.array_equal(back.scaler.table, ds.scaler.table)
 
 
 def test_load_scaler_equals_dataset_scaler(tmp_path):
     ds = small_dataset(n=5, seed=2)
-    ds.scaler.input_min, ds.scaler.input_max = -0.25, 3.5
+    ds.scaler.table[:, 0] = -0.25, 3.5
     save_dataset(ds, tmp_path / "set")
     alone = load_scaler(tmp_path / "set")
     full = load_dataset(tmp_path / "set").scaler
-    assert (alone.input_min, alone.input_max) == (full.input_min, full.input_max)
-    assert np.array_equal(alone.output_min, full.output_min)
-    assert np.array_equal(alone.output_max, full.output_max)
+    assert np.array_equal(alone.table, full.table)
+    assert np.array_equal(alone.table, ds.scaler.table)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_scaler_rejects_a_non_finite_table(tmp_path, bad):
+    ds = small_dataset(n=3)
+    ds.scaler.table[1, 2] = bad
+    save_dataset(ds, tmp_path / "set")
+    with pytest.raises(FormatError, match="set: dataset member scaler.nhar must be"):
+        load_scaler(tmp_path / "set")
+
+
+def test_load_scaler_rejects_maxima_below_minima(tmp_path):
+    ds = small_dataset(n=3)
+    ds.scaler.table[:, 0] = 1.0  # an empty range is allowed
+    ds.scaler.table[1, 3] = -0.5
+    save_dataset(ds, tmp_path / "set")
+    with pytest.raises(FormatError, match="no maximum below its minimum"):
+        load_scaler(tmp_path / "set")
+    ds.scaler.table[1, 3] = 0.0
+    save_dataset(ds, tmp_path / "set")
+    degenerate = load_scaler(tmp_path / "set").degenerate
+    assert degenerate.tolist() == [True, False, False, True]
 
 
 @pytest.mark.parametrize("member", ["inputs", "outputs", "ids", "scaler"])

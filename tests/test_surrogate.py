@@ -768,12 +768,7 @@ def synthetic_dataset(n=80, patch=8, seed=21):
         Y=Y,
         realization=np.zeros(n, dtype=np.int64),
         cell=np.arange(n, dtype=np.int64),
-        scaler=Scaler(
-            input_min=0.0,
-            input_max=1.0,
-            output_min=np.zeros(3),
-            output_max=np.ones(3),
-        ),
+        scaler=Scaler(np.array([np.zeros(4), np.ones(4)])),
     )
 
 
@@ -870,12 +865,7 @@ def test_evaluate_reports_descaled_units():
         Y=ds.Y,
         realization=ds.realization,
         cell=ds.cell,
-        scaler=Scaler(
-            input_min=0.0,
-            input_max=1.0,
-            output_min=np.array([1.0, 2.0, 3.0]),
-            output_max=np.array([3.0, 6.0, 4.0]),
-        ),
+        scaler=Scaler(np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 6.0, 4.0]])),
     )
     net = build_network(2, 8, 3, seed=27)
     got = evaluate(net, ds)
@@ -908,12 +898,8 @@ def constant_output_network(rows):
     net = build_network(2, 4, len(rows), seed=28)
     net.layers[-1].weight[...] = 0.0
     net.layers[-1].bias[...] = 0.0
-    scaler = Scaler(
-        input_min=0.0,
-        input_max=1.0,
-        output_min=np.asarray(rows, dtype=float),
-        output_max=np.asarray(rows, dtype=float) + 1.0,
-    )
+    minima = np.r_[0.0, rows]
+    scaler = Scaler(np.array([minima, minima + 1.0]))
     return net, scaler
 
 
@@ -937,12 +923,11 @@ def test_from_upper_triangle_rejects_a_width_of_no_triangle():
         from_upper_triangle(np.ones((5, 4)))
 
 
-def test_predict_effective_clamps_and_logs(caplog):
+def test_predict_effective_clamps_and_counts():
     net, scaler = constant_output_network([-1.0, 0.0, 0.5])
     x = np.random.default_rng(30).random(size=(3, 4, 4))
-    with caplog.at_level("WARNING"):
-        tensors, clamped = predict_effective(net, x, scaler)
-    assert "clamped" in caplog.text and clamped == 3
+    tensors, clamped = predict_effective(net, x, scaler)
+    assert clamped == 3
     vals = np.linalg.eigvalsh(tensors)
     assert vals.min() >= SPD_FLOOR * (1 - 1e-9)
     np.testing.assert_allclose(tensors, np.swapaxes(tensors, 1, 2), atol=1e-14)
@@ -1003,6 +988,10 @@ def test_weights_format_errors(tmp_path):
     write_array(path / "weights.nhar", weights[:-1])
     with pytest.raises(FormatError, match="weights.nhar has shape"):
         load_network(path)
+    for bad in (np.nan, np.inf):
+        write_array(path / "weights.nhar", np.r_[bad, weights[1:]])
+        with pytest.raises(FormatError, match="weights.nhar is not finite"):
+            load_network(path)
     write_array(path / "weights.nhar", weights)
 
     for arch, match in (
